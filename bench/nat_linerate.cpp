@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <vector>
 
 #include "apps/nat.hpp"
 #include "bench_util.hpp"
@@ -94,60 +93,7 @@ int main() {
               static_cast<unsigned long long>(events_total), repeats,
               best_wall, events_per_sec, seed_events_per_sec,
               events_per_sec / seed_events_per_sec);
-  // --- batched-dispatch differential -------------------------------------
-  // The same sweep at batch widths {1, 8, 16}: the width may only show up
-  // as throughput, so the merged {frame=N}-labeled snapshots must be
-  // bit-identical. batch_identical rides in the JSON as a strict gate.
-  std::vector<obs::MetricSnapshot> width_snaps;
-  const int width_repeats = std::max(1, repeats / 3);
-  for (const std::size_t width : {1, 8, 16}) {
-    obs::MetricSnapshot snap;
-    std::uint64_t width_events = 0;
-    double width_wall = 0;
-    for (int rep = 0; rep < width_repeats; ++rep) {
-      std::uint64_t rep_events = 0;
-      double rep_wall = 0;
-      for (const std::size_t frame : {64, 128, 256, 512, 1024, 1280, 1518}) {
-        fabric::TestbedConfig config;
-        fabric::TrafficSpec spec;
-        spec.rate = DataRate::gbps(10);
-        spec.fixed_size = frame;
-        spec.duration = 500_us;
-        config.edge_traffic = spec;
-        auto nat = std::make_unique<apps::StaticNat>();
-        for (std::uint32_t i = 0; i < 1024; ++i) {
-          nat->add_mapping(net::Ipv4Address{0x0a000000u + i},
-                           net::Ipv4Address{0xcb007100u + i});
-        }
-        fabric::ModuleTestbed testbed(std::move(config), std::move(nat));
-        testbed.sim().set_batch_width(width);
-        const auto start = std::chrono::steady_clock::now();
-        const auto result = testbed.run();
-        rep_wall += std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-        rep_events += testbed.sim().executed_events();
-        if (rep != 0) continue;
-        snap.merge(result.metrics.with_label("frame", std::to_string(frame)));
-      }
-      width_events = rep_events;
-      width_wall = rep == 0 ? rep_wall : std::min(width_wall, rep_wall);
-    }
-    figures.emplace_back("events_per_sec_w" + std::to_string(width),
-                         width_wall > 0 ? double(width_events) / width_wall
-                                        : 0);
-    width_snaps.push_back(std::move(snap));
-  }
-  bool batch_identical = true;
-  for (const auto& snap : width_snaps) {
-    batch_identical = batch_identical && snap == width_snaps.front();
-  }
-  std::printf("batch widths {1,8,16}: merged snapshots %s\n",
-              batch_identical ? "bit-identical" : "DIVERGED");
-
   const double wall_seconds = best_wall;
-  figures.emplace_back("batch_identical", batch_identical ? 1.0 : 0.0);
-  figures.emplace_back("batch_width", double(Simulation::kDefaultBatchWidth));
   figures.emplace_back("worst_loss_rate", worst_loss);
   figures.emplace_back("events_total", double(events_total));
   figures.emplace_back("wall_seconds", wall_seconds);

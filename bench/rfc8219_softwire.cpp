@@ -295,9 +295,10 @@ ShardStats run_shard(const TrialSpec& spec, std::size_t shard) {
 
 TrialResult run_trial(const TrialSpec& spec) {
   std::vector<ShardStats> shards(kShards);
-  sim::parallel_for_each_shard(kShards, spec.workers, [&](std::size_t shard) {
-    shards[shard] = run_shard(spec, shard);
-  });
+  sim::run_lockstep_rounds(
+      kShards, spec.workers,
+      [&](std::size_t shard) { shards[shard] = run_shard(spec, shard); },
+      [] { return false; });
   TrialResult result;
   for (const ShardStats& s : shards) {  // fixed order: bit-identical merge
     result.total.sent_down += s.sent_down;

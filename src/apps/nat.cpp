@@ -1,6 +1,6 @@
 #include "apps/nat.hpp"
 
-#include <algorithm>
+#include <cstddef>
 
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
@@ -10,37 +10,111 @@ namespace flexsfp::apps {
 
 namespace {
 
-// Byte-peek classification for the batched fast path. kSlowPath means "use
-// the full parser"; the fast shapes are frames where parse_packet is
-// GUARANTEED to succeed with fixed offsets (l3 = 14, l4 = 34): untagged
-// Ethernet + IPv4 (version 4, ihl 5, not a fragment) carrying either TCP
-// with a 20-byte header or non-VXLAN UDP, with every header fully present.
-// Anything else — VLAN tags, IPv6, options, fragments, GRE/ICMP/other
-// protocols, VXLAN's UDP port, truncations — falls back to the parser, so
-// the fast path can never classify a frame differently than process().
-constexpr std::uint8_t kSlowPath = 0;
-constexpr std::uint8_t kFastTcp = 1;
-constexpr std::uint8_t kFastUdp = 2;
+// Wire layouts of the headers the byte-peek fast path reads. Every field is
+// a byte array, so the structs have no padding and offsetof gives the RFC
+// byte offsets; only the offsets are used, never the structs.
+struct EthernetWire {  // IEEE 802.3, untagged
+  std::uint8_t dst[6], src[6], ether_type[2];
+};
+struct Ipv4Wire {  // RFC 791, without options
+  std::uint8_t version_ihl, tos, total_length[2], identification[2],
+      flags_fragment[2], ttl, protocol, checksum[2], src[4], dst[4];
+};
+struct TcpWire {  // RFC 9293, without options
+  std::uint8_t src_port[2], dst_port[2], seq[4], ack[4], data_offset,
+      flags, window[2], checksum[2], urgent[2];
+};
+struct UdpWire {  // RFC 768
+  std::uint8_t src_port[2], dst_port[2], length[2], checksum[2];
+};
+static_assert(sizeof(EthernetWire) == net::EthernetHeader::size());
+static_assert(sizeof(Ipv4Wire) == net::Ipv4Header::min_size());
+static_assert(sizeof(TcpWire) == net::TcpHeader::min_size());
+static_assert(sizeof(UdpWire) == net::UdpHeader::size());
 
-std::uint8_t fast_path_shape(const net::Bytes& b) {
-  if (b.size() < 14 + 20) return kSlowPath;
-  if (b[12] != 0x08 || b[13] != 0x00) return kSlowPath;  // not plain IPv4
-  if (b[14] != 0x45) return kSlowPath;  // version 4, ihl 5 (no options)
-  if ((b[20] & 0x3f) != 0 || b[21] != 0) return kSlowPath;  // MF/fragment
-  const std::uint8_t proto = b[23];
-  if (proto == 6) {
-    if (b.size() < 34 + 20) return kSlowPath;
-    if ((b[34 + 12] >> 4) != 5) return kSlowPath;  // TCP options present
-    return kFastTcp;
+// Absolute frame offsets of the fast-path shape: L3 right after an untagged
+// Ethernet header, L4 right after a 20-byte IPv4 header.
+constexpr std::size_t kL3 = net::EthernetHeader::size();
+constexpr std::size_t kL4 = kL3 + net::Ipv4Header::min_size();
+constexpr std::size_t kEtherType = offsetof(EthernetWire, ether_type);
+constexpr std::size_t kIpv4VersionIhl = kL3 + offsetof(Ipv4Wire, version_ihl);
+constexpr std::size_t kIpv4FlagsFragment =
+    kL3 + offsetof(Ipv4Wire, flags_fragment);
+constexpr std::size_t kIpv4Protocol = kL3 + offsetof(Ipv4Wire, protocol);
+constexpr std::size_t kIpv4Checksum = kL3 + offsetof(Ipv4Wire, checksum);
+constexpr std::size_t kIpv4Src = kL3 + offsetof(Ipv4Wire, src);
+constexpr std::size_t kIpv4Dst = kL3 + offsetof(Ipv4Wire, dst);
+constexpr std::size_t kTcpDataOffset = kL4 + offsetof(TcpWire, data_offset);
+constexpr std::size_t kTcpChecksum = kL4 + offsetof(TcpWire, checksum);
+constexpr std::size_t kUdpDstPort = kL4 + offsetof(UdpWire, dst_port);
+constexpr std::size_t kUdpChecksum = kL4 + offsetof(UdpWire, checksum);
+static_assert(kL3 == 14 && kL4 == 34);
+static_assert(kEtherType == 12);
+static_assert(kIpv4VersionIhl == 14);
+static_assert(kIpv4FlagsFragment == 20);
+static_assert(kIpv4Protocol == 23);
+static_assert(kIpv4Checksum == 24);
+static_assert(kIpv4Src == 26 && kIpv4Dst == 30);
+static_assert(kTcpDataOffset == 46 && kTcpChecksum == 50);
+static_assert(kUdpDstPort == 36 && kUdpChecksum == 40);
+
+// Byte-peek classification. kSlowPath means "use the full parser"; the
+// fast shapes are frames where parse_packet is GUARANTEED to succeed with
+// the fixed offsets above: untagged Ethernet + IPv4 (version 4, ihl 5, not
+// a fragment) carrying either TCP with a 20-byte header or UDP not on the
+// VXLAN port, with every header fully present. Anything else — VLAN tags,
+// IPv6, options, fragments, GRE/ICMP/other protocols, VXLAN's UDP port,
+// truncations — falls back to the parser, so the fast path can never
+// classify a frame differently than the parser would.
+enum class Shape : std::uint8_t { slow_path, tcp, udp };
+
+Shape fast_path_shape(const net::Bytes& b) {
+  if (b.size() < kL4) return Shape::slow_path;
+  if (net::read_be16(b, kEtherType) !=
+      static_cast<std::uint16_t>(net::EtherType::ipv4)) {
+    return Shape::slow_path;
   }
-  if (proto == 17) {
-    if (b.size() < 34 + 8) return kSlowPath;
-    if (net::read_be16(b, 34 + 2) == net::VxlanHeader::udp_port) {
-      return kSlowPath;  // parse_packet would attempt VXLAN decap
+  if (b[kIpv4VersionIhl] != 0x45) return Shape::slow_path;  // v4, no options
+  // Any of MF or the fragment offset set: a fragment. DF may be set.
+  if ((net::read_be16(b, kIpv4FlagsFragment) & 0x3fff) != 0) {
+    return Shape::slow_path;
+  }
+  const std::uint8_t proto = b[kIpv4Protocol];
+  if (proto == static_cast<std::uint8_t>(net::IpProto::tcp)) {
+    if (b.size() < kL4 + sizeof(TcpWire)) return Shape::slow_path;
+    if ((b[kTcpDataOffset] >> 4) != 5) return Shape::slow_path;  // options
+    return Shape::tcp;
+  }
+  if (proto == static_cast<std::uint8_t>(net::IpProto::udp)) {
+    if (b.size() < kL4 + sizeof(UdpWire)) return Shape::slow_path;
+    if (net::read_be16(b, kUdpDstPort) == net::VxlanHeader::udp_port) {
+      return Shape::slow_path;  // parse_packet would attempt VXLAN decap
     }
-    return kFastUdp;
+    return Shape::udp;
   }
-  return kSlowPath;
+  return Shape::slow_path;
+}
+
+// The exact edits rewrite_ipv4_src/dst make on a fast-path frame: the
+// address write plus RFC 1624 incremental patches of the IPv4 checksum and
+// the L4 pseudo-header checksum (a zero UDP checksum means "none" and stays).
+void rewrite_fast_path(net::Bytes& b, Shape shape, std::size_t addr_offset,
+                       std::uint32_t old_value, std::uint32_t new_value) {
+  if (old_value == new_value) return;
+  net::write_be32(b, addr_offset, new_value);
+  net::write_be16(b, kIpv4Checksum,
+                  net::checksum_incremental_update32(
+                      net::read_be16(b, kIpv4Checksum), old_value, new_value));
+  if (shape == Shape::tcp) {
+    net::write_be16(b, kTcpChecksum,
+                    net::checksum_incremental_update32(
+                        net::read_be16(b, kTcpChecksum), old_value, new_value));
+  } else if (net::read_be16(b, kUdpChecksum) != 0) {
+    std::uint16_t patched = net::checksum_incremental_update32(
+        net::read_be16(b, kUdpChecksum), old_value, new_value);
+    if (patched == 0) patched = 0xffff;
+    net::write_be16(b, kUdpChecksum, patched);
+  }
 }
 
 }  // namespace
@@ -73,17 +147,27 @@ StaticNat::StaticNat(NatConfig config)
       stats_("nat_stats", 3) {}
 
 ppe::Verdict StaticNat::process(ppe::PacketContext& ctx) {
-  const auto& parsed = ctx.parsed();
-  if (!parsed.ok() || !parsed.outer.ipv4) {
-    stats_.add(2, ctx.packet().size());
-    return ppe::Verdict::forward;  // NAT is IPv4-only; pass others through
+  const bool source = config_.direction == NatDirection::source;
+  const std::size_t addr_offset = source ? kIpv4Src : kIpv4Dst;
+  const std::size_t size = ctx.packet().size();
+  // Plain frames skip the full parse: their match address sits at a fixed
+  // offset and parse_packet is guaranteed to agree.
+  const Shape shape = fast_path_shape(ctx.packet().data());
+  std::uint32_t match = 0;
+  if (shape != Shape::slow_path) {
+    match = net::read_be32(ctx.packet().data(), addr_offset);
+  } else {
+    const auto& parsed = ctx.parsed();
+    if (!parsed.ok() || !parsed.outer.ipv4) {
+      stats_.add(2, size);
+      return ppe::Verdict::forward;  // NAT is IPv4-only; pass others through
+    }
+    match = (source ? parsed.outer.ipv4->src : parsed.outer.ipv4->dst).value();
   }
-  const net::Ipv4Address match_addr = config_.direction == NatDirection::source
-                                          ? parsed.outer.ipv4->src
-                                          : parsed.outer.ipv4->dst;
-  const auto hit = table_.lookup(match_addr.value());
+
+  const auto hit = table_.lookup(match);
   if (!hit) {
-    stats_.add(1, ctx.packet().size());
+    stats_.add(1, size);
     switch (config_.miss_action) {
       case NatMissAction::forward: return ppe::Verdict::forward;
       case NatMissAction::drop: return ppe::Verdict::drop;
@@ -92,128 +176,21 @@ ppe::Verdict StaticNat::process(ppe::PacketContext& ctx) {
     return ppe::Verdict::forward;
   }
 
-  const net::Ipv4Address translated{static_cast<std::uint32_t>(*hit)};
-  const bool rewritten =
-      config_.direction == NatDirection::source
-          ? net::rewrite_ipv4_src(ctx.bytes(), parsed, translated)
-          : net::rewrite_ipv4_dst(ctx.bytes(), parsed, translated);
-  if (rewritten) {
-    ctx.invalidate_parse();
-    stats_.add(0, ctx.packet().size());
+  const auto translated = static_cast<std::uint32_t>(*hit);
+  if (shape != Shape::slow_path) {
+    rewrite_fast_path(ctx.bytes(), shape, addr_offset, match, translated);
+  } else {
+    const auto& parsed = ctx.parsed();
+    const net::Ipv4Address address{translated};
+    const bool rewritten =
+        source ? net::rewrite_ipv4_src(ctx.bytes(), parsed, address)
+               : net::rewrite_ipv4_dst(ctx.bytes(), parsed, address);
+    if (!rewritten) return ppe::Verdict::forward;
   }
+  // An identity mapping counts as translated too, as rewrite_ipv4_* reports.
+  ctx.invalidate_parse();
+  stats_.add(0, size);
   return ppe::Verdict::forward;
-}
-
-void StaticNat::process_batch(ppe::PacketContext* const* ctxs,
-                              ppe::Verdict* out, std::size_t n) {
-  // Chunked to a fixed stack footprint; each chunk runs three phases —
-  // parse/key-extract (prefetching the next frame's bytes), one SoA table
-  // probe over the gathered keys, then the per-packet verdict/rewrite.
-  // Every per-packet effect (counters, byte edits, verdict) is exactly the
-  // one process() produces, so scalar and batched runs are bit-identical.
-  constexpr std::size_t kChunk = 64;
-  const std::size_t addr_offset =
-      config_.direction == NatDirection::source ? 26 : 30;  // l3 14 + 12/16
-  std::uint64_t keys[kChunk];
-  std::optional<std::uint64_t> hits[kChunk];
-  std::size_t packet_of_key[kChunk];
-  std::uint8_t shape_of_key[kChunk];
-  for (std::size_t start = 0; start < n; start += kChunk) {
-    const std::size_t count = std::min(kChunk, n - start);
-    std::size_t gathered = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      ppe::PacketContext& ctx = *ctxs[start + i];
-      if (start + i + 1 < n) {
-        __builtin_prefetch(ctxs[start + i + 1]->packet().data().data());
-      }
-      const net::Bytes& b = ctx.packet().data();
-      const std::uint8_t shape = fast_path_shape(b);
-      if (shape != kSlowPath) {
-        // Canonical frame: the match address sits at a fixed offset and
-        // parse_packet is guaranteed to agree, so skip building the full
-        // ParsedPacket on the per-packet path.
-        keys[gathered] = net::read_be32(b, addr_offset);
-        packet_of_key[gathered] = start + i;
-        shape_of_key[gathered] = shape;
-        ++gathered;
-        continue;
-      }
-      const auto& parsed = ctx.parsed();
-      if (!parsed.ok() || !parsed.outer.ipv4) {
-        stats_.add(2, ctx.packet().size());
-        out[start + i] = ppe::Verdict::forward;  // IPv4-only: pass through
-        continue;
-      }
-      const net::Ipv4Address match_addr =
-          config_.direction == NatDirection::source ? parsed.outer.ipv4->src
-                                                    : parsed.outer.ipv4->dst;
-      keys[gathered] = match_addr.value();
-      packet_of_key[gathered] = start + i;
-      shape_of_key[gathered] = kSlowPath;
-      ++gathered;
-    }
-    table_.lookup_batch(keys, hits, gathered);
-    for (std::size_t j = 0; j < gathered; ++j) {
-      ppe::PacketContext& ctx = *ctxs[packet_of_key[j]];
-      ppe::Verdict& verdict = out[packet_of_key[j]];
-      if (!hits[j]) {
-        stats_.add(1, ctx.packet().size());
-        switch (config_.miss_action) {
-          case NatMissAction::forward:
-            verdict = ppe::Verdict::forward;
-            break;
-          case NatMissAction::drop:
-            verdict = ppe::Verdict::drop;
-            break;
-          case NatMissAction::punt:
-            verdict = ppe::Verdict::to_control_plane;
-            break;
-        }
-        continue;
-      }
-      if (shape_of_key[j] != kSlowPath) {
-        // Inline the exact edits rewrite_ipv4_src/dst performs on this
-        // shape: address write plus RFC 1624 incremental patches of the
-        // IPv4 checksum and the L4 pseudo-header checksum.
-        net::Bytes& b = ctx.bytes();
-        const auto old_value = static_cast<std::uint32_t>(keys[j]);
-        const auto new_value = static_cast<std::uint32_t>(*hits[j]);
-        if (old_value != new_value) {
-          net::write_be32(b, addr_offset, new_value);
-          net::write_be16(b, 24,
-                          net::checksum_incremental_update32(
-                              net::read_be16(b, 24), old_value, new_value));
-          if (shape_of_key[j] == kFastTcp) {
-            net::write_be16(b, 34 + 16,
-                            net::checksum_incremental_update32(
-                                net::read_be16(b, 34 + 16), old_value,
-                                new_value));
-          } else if (net::read_be16(b, 34 + 6) != 0) {
-            std::uint16_t patched = net::checksum_incremental_update32(
-                net::read_be16(b, 34 + 6), old_value, new_value);
-            if (patched == 0) patched = 0xffff;
-            net::write_be16(b, 34 + 6, patched);
-          }
-        }
-        // rewrite_ipv4_addr reports success even for an identity mapping,
-        // so the translated counter advances either way.
-        ctx.invalidate_parse();
-        stats_.add(0, ctx.packet().size());
-        verdict = ppe::Verdict::forward;
-        continue;
-      }
-      const net::Ipv4Address translated{static_cast<std::uint32_t>(*hits[j])};
-      const bool rewritten =
-          config_.direction == NatDirection::source
-              ? net::rewrite_ipv4_src(ctx.bytes(), ctx.parsed(), translated)
-              : net::rewrite_ipv4_dst(ctx.bytes(), ctx.parsed(), translated);
-      if (rewritten) {
-        ctx.invalidate_parse();
-        stats_.add(0, ctx.packet().size());
-      }
-      verdict = ppe::Verdict::forward;
-    }
-  }
 }
 
 hw::ResourceBreakdown StaticNat::resource_breakdown(

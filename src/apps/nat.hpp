@@ -39,13 +39,10 @@ class StaticNat final : public ppe::PpeApp {
   /// Registry name: "nat".
   [[nodiscard]] std::string name() const override { return "nat"; }
 
+  /// Plain untagged IPv4 TCP/UDP frames take a byte-peek fast path with
+  /// fixed header offsets; every other frame takes the full parse. Both
+  /// produce the same verdict, bytes and counters.
   [[nodiscard]] ppe::Verdict process(ppe::PacketContext& ctx) override;
-  /// Vectorized burst path: extracts every packet's match address, streams
-  /// the keys through ExactMatchTable::lookup_batch (SoA probe with
-  /// next-key prefetch), then applies the per-packet rewrite. Observably
-  /// identical to calling process() per packet.
-  void process_batch(ppe::PacketContext* const* ctxs, ppe::Verdict* out,
-                     std::size_t n) override;
 
   /// Component breakdown matching the paper's Table 1 "NAT app" row:
   /// parser, hash+table control, field edit, checksum patch, deparser,

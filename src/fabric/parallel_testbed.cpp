@@ -1,6 +1,5 @@
 #include "fabric/parallel_testbed.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -9,23 +8,6 @@
 #include "sim/random.hpp"
 
 namespace flexsfp::fabric {
-
-std::size_t ShardPlan::widest_worker() const {
-  std::size_t widest = 0;
-  for (const auto& lane : assignment) widest = std::max(widest, lane.size());
-  return widest;
-}
-
-ShardPlan plan_shards(std::size_t shards, unsigned requested_workers) {
-  ShardPlan plan;
-  plan.shards = shards;
-  plan.workers = sim::resolve_workers(shards, requested_workers);
-  plan.assignment.resize(plan.workers);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    plan.assignment[shard % plan.workers].push_back(shard);
-  }
-  return plan;
-}
 
 ParallelTestbed::ParallelTestbed(ParallelTestbedConfig config,
                                  AppFactory app_factory)
@@ -97,9 +79,6 @@ ShardOutcome ParallelTestbed::run_shard(std::size_t shard,
   }
 
   ModuleTestbed testbed(std::move(config), std::move(app));
-  if (config_.batch_width != 0) {
-    testbed.sim().set_batch_width(config_.batch_width);
-  }
   out.result = testbed.run();
   out.metrics = out.result.metrics.with_label("shard", std::to_string(shard));
   out.flight = testbed.sim().flight().events();

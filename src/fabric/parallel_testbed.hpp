@@ -24,20 +24,6 @@ namespace flexsfp::fabric {
 /// call must return an identically configured instance.
 using AppFactory = std::function<ppe::PpeAppPtr()>;
 
-/// Static shard -> worker assignment (round-robin). Scheduling is actually
-/// dynamic (work stealing); the plan exists for capacity reasoning and
-/// display.
-struct ShardPlan {
-  std::size_t shards = 0;
-  unsigned workers = 0;
-  std::vector<std::vector<std::size_t>> assignment;  // [worker] -> shard ids
-
-  [[nodiscard]] std::size_t widest_worker() const;
-};
-
-[[nodiscard]] ShardPlan plan_shards(std::size_t shards,
-                                    unsigned requested_workers);
-
 struct ParallelTestbedConfig {
   /// One FlexSFP module (= one switch port) per shard.
   std::size_t shards = 8;
@@ -49,11 +35,6 @@ struct ParallelTestbedConfig {
   /// Cloned per shard. Traffic seeds, flow-space addresses and MACs are
   /// re-derived per shard so each module sees its own traffic slice.
   TestbedConfig prototype{};
-  /// Event-dispatch batch width applied to every shard Simulation; 0 keeps
-  /// the process default (FLEXSFP_BATCH_WIDTH or 16). Batching drains only
-  /// the same-timestamp frontier, so any width yields bit-identical merged
-  /// results — the batch-differential tests sweep this knob to prove it.
-  std::size_t batch_width = 0;
 };
 
 /// Everything one shard measured.

@@ -158,11 +158,14 @@ ParsedPacket parse_packet(BytesView data, const ParserOptions& options) {
     if (err == ParseError::none) out.inner = inner;
     // An unknown GRE payload type is fine; we simply don't parse deeper.
   } else if (out.outer.udp && out.outer.udp->dst_port == VxlanHeader::udp_port) {
-    const auto vxlan = VxlanHeader::parse(data, out.outer.payload_offset);
-    if (!vxlan) {
+    if (out.outer.payload_offset + VxlanHeader::size() > data.size()) {
       out.error = ParseError::bad_vxlan;
       return out;
     }
+    // A payload without the VXLAN I flag is plain UDP to port 4789, the way
+    // an unknown GRE payload is plain GRE: the outer layers stay valid.
+    const auto vxlan = VxlanHeader::parse(data, out.outer.payload_offset);
+    if (!vxlan) return out;
     out.vxlan = *vxlan;
     const std::size_t inner_l2 = out.outer.payload_offset + VxlanHeader::size();
     const auto inner_eth = EthernetHeader::parse(data, inner_l2);

@@ -74,23 +74,6 @@ class PpeApp {
   /// ctx.invalidate_parse()).
   [[nodiscard]] virtual Verdict process(PacketContext& ctx) = 0;
 
-  /// Process a burst of packets with one virtual dispatch: out[i] receives
-  /// the verdict for *ctxs[i]. The default walks the burst through
-  /// process() while prefetching the next packet's header bytes, so apps
-  /// only override when they can vectorize table probes (e.g. StaticNat's
-  /// batched binding lookup). Overrides must be observably identical to the
-  /// per-packet loop — the burst is a dispatch-amortization window, never a
-  /// reordering or coalescing boundary.
-  virtual void process_batch(PacketContext* const* ctxs, Verdict* out,
-                             std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n) {
-        __builtin_prefetch(ctxs[i + 1]->packet().data().data());
-      }
-      out[i] = process(*ctxs[i]);
-    }
-  }
-
   /// FPGA footprint of this app's logic for a datapath geometry.
   [[nodiscard]] virtual hw::ResourceUsage resource_usage(
       const hw::DatapathConfig& datapath) const = 0;

@@ -45,11 +45,6 @@ class ExactMatchTable {
   /// at capacity (hardware would report this to the control plane).
   bool insert(std::uint64_t key, std::uint64_t value);
   [[nodiscard]] std::optional<std::uint64_t> lookup(std::uint64_t key) const;
-  /// Batched probe: out[i] = lookup(keys[i]), with key i+1's candidate
-  /// buckets prefetched while key i is compared — the datapath entry point
-  /// for PpeApp::process_batch overrides.
-  void lookup_batch(const std::uint64_t* keys,
-                    std::optional<std::uint64_t>* out, std::size_t n) const;
   bool erase(std::uint64_t key);
   void clear();
 
@@ -74,10 +69,6 @@ class ExactMatchTable {
  private:
   [[nodiscard]] std::array<std::size_t, 2> bucket_indices(
       std::uint64_t key) const;
-  /// Scan one key's two candidate buckets (the shared probe kernel of
-  /// lookup and lookup_batch).
-  [[nodiscard]] std::optional<std::uint64_t> probe(
-      const std::array<std::size_t, 2>& buckets, std::uint64_t key) const;
   /// Free one way in `bucket` by relocating residents to their alternate
   /// buckets (bounded-depth cuckoo walk). Returns false when no chain of
   /// at most max_depth moves exists.

@@ -120,21 +120,6 @@ class EventQueue {
   /// Remove and return the earliest event. Precondition: !empty().
   [[nodiscard]] Popped pop();
 
-  /// Batched drain: pop up to `max_events` events sharing the earliest
-  /// pending timestamp and invoke them in (time, seq) order, amortizing the
-  /// heap maintenance over the batch. Returns the number invoked.
-  /// Precondition: !empty(). The caller must advance its clock to
-  /// min_time() first — every invoked event carries exactly that timestamp.
-  ///
-  /// Exactness: an event scheduled *by* an invoked closure always receives
-  /// a larger seq than every pre-popped ref, so even when it lands at the
-  /// same timestamp it sorts after the whole batch — the execution order is
-  /// bit-identical to `max_events` scalar pop()/invoke() rounds. size_ is
-  /// decremented per event (immediately before its invoke) and each node is
-  /// released immediately after, so pending_high_watermark and slab-reuse
-  /// trajectories match the scalar path exactly as well.
-  std::size_t drain_front(std::size_t max_events);
-
   [[nodiscard]] const Stats& stats() const { return stats_; }
   /// Current bucket width in picoseconds (2^width_shift); observable so
   /// tests can assert the sparse-horizon widening actually engages.
@@ -191,7 +176,6 @@ class EventQueue {
   static constexpr std::uint64_t no_overflow_min = ~std::uint64_t{0};
 
   std::vector<Ref> current_;  // min-heap (Later) of the bucket being drained
-  std::vector<Ref> batch_;    // scratch for drain_front's pre-popped refs
   std::vector<std::vector<Ref>> ring_;  // future buckets, unsorted
   /// One bit per ring slot (set ⇔ slot non-empty), so advancing the window
   /// jumps straight to the next occupied slot instead of stepping through

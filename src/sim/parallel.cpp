@@ -23,49 +23,6 @@ unsigned resolve_threads(std::size_t jobs, unsigned requested) {
   return std::min(resolve_workers(jobs, requested), hardware);
 }
 
-void parallel_for_each_shard(std::size_t jobs, unsigned workers,
-                             const std::function<void(std::size_t)>& body) {
-  if (jobs == 0) return;
-  const unsigned pool = resolve_threads(jobs, workers);
-
-  if (pool <= 1) {
-    for (std::size_t i = 0; i < jobs; ++i) body(i);
-    return;
-  }
-
-  // Work-stealing by atomic ticket: each worker claims the next unclaimed
-  // shard index. Which thread runs which shard is nondeterministic; shard
-  // results are indexed, so callers merge deterministically afterwards.
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::size_t first_error_index = jobs;
-  std::exception_ptr first_error;
-
-  auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs) return;
-      try {
-        body(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (i < first_error_index) {
-          first_error_index = i;
-          first_error = std::current_exception();
-        }
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(pool - 1);
-  for (unsigned t = 1; t < pool; ++t) threads.emplace_back(worker);
-  worker();  // the caller thread participates
-  for (auto& thread : threads) thread.join();
-
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 void run_lockstep_rounds(std::size_t jobs, unsigned workers,
                          const std::function<void(std::size_t)>& advance,
                          const std::function<bool()>& exchange) {

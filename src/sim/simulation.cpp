@@ -1,21 +1,8 @@
 #include "sim/simulation.hpp"
 
-#include <algorithm>
-#include <cstdlib>
-
 namespace flexsfp::sim {
 
 namespace {
-
-std::size_t batch_width_from_env() {
-  const char* raw = std::getenv("FLEXSFP_BATCH_WIDTH");
-  if (raw == nullptr || *raw == '\0') return Simulation::kDefaultBatchWidth;
-  char* end = nullptr;
-  const long parsed = std::strtol(raw, &end, 10);
-  if (end == raw || parsed < 1) return Simulation::kDefaultBatchWidth;
-  return std::min(static_cast<std::size_t>(parsed),
-                  Simulation::kMaxBatchWidth);
-}
 
 void add_counter(obs::MetricSnapshot& snap, const char* name,
                  std::uint64_t value) {
@@ -29,7 +16,7 @@ void add_gauge(obs::MetricSnapshot& snap, const char* name,
 
 }  // namespace
 
-Simulation::Simulation() : batch_width_(batch_width_from_env()) {
+Simulation::Simulation() {
   // Surface the hot-path tallies without touching the registry per event:
   // the queue and pool count in plain members, snapshots pull them here.
   metrics_.register_collector([this](obs::MetricSnapshot& snap) {
@@ -55,49 +42,31 @@ Simulation::Simulation() : batch_width_(batch_width_from_env()) {
   });
 }
 
-void Simulation::set_batch_width(std::size_t width) {
-  batch_width_ = std::clamp<std::size_t>(width, 1, kMaxBatchWidth);
+void Simulation::execute_next() {
+  EventQueue::Popped event = queue_.pop();
+  now_ = event.at();
+  ++executed_;
+  event.invoke();
 }
 
-// The run loops drain the same-timestamp frontier in batches of up to
-// batch_width_ events per EventQueue call. A drained batch never reaches
-// past its timestamp, so the deadline/horizon checks below stay exact: once
-// min_time() passes the bound, no batched event has either.
-std::size_t Simulation::run() {
-  std::size_t executed = 0;
-  while (!queue_.empty()) {
-    now_ = queue_.min_time();
-    const std::size_t n = queue_.drain_front(batch_width_);
-    executed_ += n;
-    executed += n;
-  }
-  return executed;
+std::size_t Simulation::execute_through(TimePs last) {
+  const std::uint64_t before = executed_;
+  while (!queue_.empty() && queue_.min_time() <= last) execute_next();
+  return static_cast<std::size_t>(executed_ - before);
 }
+
+std::size_t Simulation::run() { return execute_through(time_horizon); }
 
 std::size_t Simulation::run_until(TimePs deadline) {
-  std::size_t executed = 0;
-  while (!queue_.empty()) {
-    const TimePs at = queue_.min_time();
-    if (at > deadline) break;
-    now_ = at;
-    const std::size_t n = queue_.drain_front(batch_width_);
-    executed_ += n;
-    executed += n;
-  }
+  const std::size_t executed = execute_through(deadline);
   if (now_ < deadline) now_ = deadline;
   return executed;
 }
 
 std::size_t Simulation::run_before(TimePs horizon) {
-  std::size_t executed = 0;
-  while (!queue_.empty()) {
-    const TimePs at = queue_.min_time();
-    if (at >= horizon) break;
-    now_ = at;
-    const std::size_t n = queue_.drain_front(batch_width_);
-    executed_ += n;
-    executed += n;
-  }
+  // Events are never scheduled before time 0, so a horizon <= 0 runs none
+  // (and horizon - 1 cannot underflow).
+  const std::size_t executed = horizon > 0 ? execute_through(horizon - 1) : 0;
   if (now_ < horizon) now_ = horizon;
   return executed;
 }
@@ -108,10 +77,7 @@ TimePs Simulation::next_event_time() {
 
 bool Simulation::step() {
   if (queue_.empty()) return false;
-  EventQueue::Popped event = queue_.pop();
-  now_ = event.at();
-  ++executed_;
-  event.invoke();
+  execute_next();
   return true;
 }
 

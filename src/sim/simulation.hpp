@@ -50,17 +50,6 @@ class Simulation {
     schedule_at(saturating_add(now_, delay), std::forward<F>(fn));
   }
 
-  /// Max events sharing one timestamp executed per event-queue drain call
-  /// (the batched-dispatch width). 1 reproduces the scalar pop-per-event
-  /// loop; execution order and every observable metric are bit-identical at
-  /// any width (see EventQueue::drain_front). Initialized from the
-  /// FLEXSFP_BATCH_WIDTH environment variable (default 16, clamped to
-  /// [1, 64]).
-  static constexpr std::size_t kDefaultBatchWidth = 16;
-  static constexpr std::size_t kMaxBatchWidth = 64;
-  void set_batch_width(std::size_t width);
-  [[nodiscard]] std::size_t batch_width() const { return batch_width_; }
-
   /// Run everything; returns the number of events executed.
   std::size_t run();
   /// Run until simulated time exceeds `deadline` (events at exactly
@@ -112,9 +101,14 @@ class Simulation {
   }
 
  private:
+  /// Pop and invoke the earliest event. Precondition: !empty().
+  void execute_next();
+  /// Execute events one at a time while the earliest is at or before
+  /// `last`; returns how many ran. The loop behind run/run_until/run_before.
+  std::size_t execute_through(TimePs last);
+
   EventQueue queue_;
   TimePs now_ = 0;
-  std::size_t batch_width_ = kDefaultBatchWidth;
   std::uint64_t executed_ = 0;
   net::PacketId last_packet_id_ = 0;
   net::PacketPool pool_;

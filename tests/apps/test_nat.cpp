@@ -1,5 +1,9 @@
 #include "apps/nat.hpp"
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "app_test_util.hpp"
@@ -131,153 +135,186 @@ TEST(StaticNat, RemoveMappingStopsTranslation) {
   EXPECT_EQ(net::parse_packet(packet).outer.ipv4->src, ip(10, 0, 0, 1));
 }
 
-// --- batched dispatch equivalence -------------------------------------------
-// process_batch takes a byte-peek fast path for plain untagged IPv4 TCP/UDP
-// and falls back to the full parser for everything else. Whatever the route,
-// the outcome must be indistinguishable from scalar process() — verdicts,
-// rewritten bytes and counters alike.
+TEST(StaticNat, TranslatesPlainUdpToTheVxlanPort) {
+  // UDP/4789 whose payload lacks the VXLAN I flag is ordinary UDP: it must
+  // be translated, not passed through as non-IPv4 with its private source.
+  StaticNat nat;
+  ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 5), ip(203, 0, 113, 5)));
+  auto packet = udp_packet(ip(10, 0, 0, 5), ip(8, 8, 8, 8), 1234,
+                           net::VxlanHeader::udp_port);
+  EXPECT_EQ(run(nat, packet), ppe::Verdict::forward);
+  const auto parsed = net::parse_packet(packet);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.outer.ipv4->src, ip(203, 0, 113, 5));
+  EXPECT_TRUE(net::validate_packet(parsed, packet.data()).empty());
+  EXPECT_EQ(nat.counters()[0].packets, 1u);
+  EXPECT_EQ(nat.counters()[2].packets, 0u);
+}
 
-std::vector<net::Packet> batch_shapes() {
-  using testing::ip;
-  std::vector<net::Packet> shapes;
+// --- byte-peek fast path vs a parser-built reference ------------------------
+// process() reads plain untagged IPv4 TCP/UDP at fixed offsets and sends
+// everything else through the full parser. The shape zoo covers both sides
+// of that split; the reference below knows nothing of the fast path.
+
+struct Shape {
+  const char* label;
+  net::Packet packet;
+};
+
+std::vector<Shape> fast_path_shapes() {
+  std::vector<Shape> shapes;
   // Fast-path candidates: plain untagged IPv4.
   shapes.push_back(
-      testing::tcp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8), 1111, 80));
-  shapes.push_back(udp_packet(ip(10, 0, 0, 2), ip(8, 8, 4, 4), 2222, 53));
-  shapes.push_back(udp_packet(ip(10, 9, 9, 9), ip(8, 8, 8, 8), 7, 7));  // miss
+      {"tcp", testing::tcp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8), 1111, 80)});
   shapes.push_back(
-      udp_packet(ip(10, 0, 0, 3), ip(9, 9, 9, 9), 3333, 53));  // identity map
+      {"udp", udp_packet(ip(10, 0, 0, 2), ip(8, 8, 4, 4), 2222, 53)});
+  shapes.push_back(
+      {"miss", udp_packet(ip(10, 9, 9, 9), ip(1, 1, 1, 1), 7, 7)});
+  shapes.push_back({"identity-map",
+                    udp_packet(ip(10, 0, 0, 3), ip(9, 9, 9, 9), 3333, 53)});
+  {  // a zero UDP checksum means "no checksum" and must stay zero
+    auto zero = udp_packet(ip(10, 0, 0, 2), ip(8, 8, 4, 4), 2223, 53);
+    net::write_be16(zero.data(), net::EthernetHeader::size() +
+                                     net::Ipv4Header::min_size() + 6,
+                    0);
+    shapes.push_back({"udp-no-checksum", std::move(zero)});
+  }
   // Slow-path shapes the byte peek must reject:
-  shapes.push_back(net::PacketBuilder()  // 802.1Q tag shifts the IP header
-                       .ethernet(testing::mac(2), testing::mac(1))
-                       .vlan(42)
-                       .ipv4(ip(10, 0, 0, 1), ip(8, 8, 8, 8), net::IpProto::udp)
-                       .udp(4444, 53)
-                       .payload_size(16)
-                       .build_packet());
-  shapes.push_back(udp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8), 5555,
-                              net::VxlanHeader::udp_port));  // tunnel port
+  shapes.push_back({"vlan", net::PacketBuilder()  // tag shifts the IP header
+                                .ethernet(testing::mac(2), testing::mac(1))
+                                .vlan(42)
+                                .ipv4(ip(10, 0, 0, 1), ip(8, 8, 8, 8),
+                                      net::IpProto::udp)
+                                .udp(4444, 53)
+                                .payload_size(16)
+                                .build_packet()});
+  shapes.push_back({"vxlan-port", udp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8),
+                                             5555, net::VxlanHeader::udp_port)});
   {  // IPv4 fragment: L4 fields are payload, not a UDP header
     auto frag = udp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8), 6666, 53);
-    frag.data()[20] |= 0x20;  // more-fragments flag (both paths see it)
-    shapes.push_back(std::move(frag));
+    frag.data()[20] |= 0x20;  // more-fragments flag
+    shapes.push_back({"fragment", std::move(frag)});
   }
   {  // non-IPv4 ethertype
     net::Bytes frame(64, 0);
     net::EthernetHeader eth;
     eth.ether_type = static_cast<std::uint16_t>(net::EtherType::arp);
     eth.serialize_to(frame, 0);
-    shapes.emplace_back(frame);
+    shapes.push_back({"arp", net::Packet(frame)});
   }
   {  // IPv4 header with options (ihl = 6)
     auto opts = udp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8), 8888, 53);
     opts.data()[14] = 0x46;
-    shapes.push_back(std::move(opts));
+    shapes.push_back({"ipv4-options", std::move(opts)});
   }
   {  // truncated mid-IPv4-header
     auto runt = udp_packet(ip(10, 0, 0, 1), ip(8, 8, 8, 8), 9999, 53);
     runt.data().resize(20);
-    shapes.push_back(std::move(runt));
+    shapes.push_back({"runt", std::move(runt)});
   }
   return shapes;
 }
 
-void install_batch_mappings(StaticNat& nat) {
-  using testing::ip;
+/// Mappings for the zoo's sources (source mode) and destinations
+/// (destination mode), each set with one identity entry.
+void install_shape_mappings(StaticNat& nat) {
   ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 1), ip(203, 0, 113, 1)));
   ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 2), ip(203, 0, 113, 2)));
-  ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 3), ip(10, 0, 0, 3)));  // identity
+  ASSERT_TRUE(nat.add_mapping(ip(10, 0, 0, 3), ip(10, 0, 0, 3)));
+  ASSERT_TRUE(nat.add_mapping(ip(8, 8, 8, 8), ip(10, 1, 0, 8)));
+  ASSERT_TRUE(nat.add_mapping(ip(8, 8, 4, 4), ip(10, 1, 0, 4)));
+  ASSERT_TRUE(nat.add_mapping(ip(9, 9, 9, 9), ip(9, 9, 9, 9)));
 }
 
-void expect_batch_equals_scalar(NatMissAction miss_action) {
-  for (const std::size_t n : {std::size_t{8}, std::size_t{16}}) {
-    NatConfig config;
-    config.miss_action = miss_action;
-    StaticNat batched(config);
-    StaticNat scalar(config);
-    install_batch_mappings(batched);
-    install_batch_mappings(scalar);
+struct Expected {
+  ppe::Verdict verdict = ppe::Verdict::forward;
+  net::Bytes bytes;
+  std::size_t counter = 2;  // nat_stats index: translated, missed, non-ipv4
+};
 
-    const auto shapes = batch_shapes();
-    std::vector<net::Packet> batch_pkts;
-    std::vector<net::Packet> scalar_pkts;
-    for (std::size_t i = 0; i < n; ++i) {
-      batch_pkts.push_back(shapes[i % shapes.size()]);
-      scalar_pkts.push_back(shapes[i % shapes.size()]);
+/// StaticNat's contract built from the parser, the table read-back and the
+/// generic rewrite primitives only.
+Expected reference(const StaticNat& nat, const net::Packet& packet) {
+  Expected out;
+  out.bytes = packet.data();
+  const auto parsed = net::parse_packet(packet.data());
+  if (!parsed.ok() || !parsed.outer.ipv4) return out;
+  const bool source = nat.config().direction == NatDirection::source;
+  const auto translated = nat.translation_for(
+      source ? parsed.outer.ipv4->src : parsed.outer.ipv4->dst);
+  if (!translated) {
+    out.counter = 1;
+    switch (nat.config().miss_action) {
+      case NatMissAction::forward: out.verdict = ppe::Verdict::forward; break;
+      case NatMissAction::drop: out.verdict = ppe::Verdict::drop; break;
+      case NatMissAction::punt:
+        out.verdict = ppe::Verdict::to_control_plane;
+        break;
     }
+    return out;
+  }
+  EXPECT_TRUE(source ? net::rewrite_ipv4_src(out.bytes, parsed, *translated)
+                     : net::rewrite_ipv4_dst(out.bytes, parsed, *translated));
+  out.counter = 0;
+  return out;
+}
 
-    std::vector<ppe::PacketContext> ctxs;
-    ctxs.reserve(n);
-    std::vector<ppe::PacketContext*> ctx_ptrs;
-    for (auto& packet : batch_pkts) {
-      ctxs.emplace_back(packet);
-      ctx_ptrs.push_back(&ctxs.back());
+void expect_fast_path_matches_reference(NatMissAction miss,
+                                        NatDirection direction) {
+  NatConfig config;
+  config.miss_action = miss;
+  config.direction = direction;
+  StaticNat nat(config);
+  install_shape_mappings(nat);
+  std::array<std::uint64_t, 3> packets{};
+  std::array<std::uint64_t, 3> bytes{};
+  for (const Shape& shape : fast_path_shapes()) {
+    const Expected want = reference(nat, shape.packet);
+    net::Packet packet = shape.packet;
+    EXPECT_EQ(run(nat, packet), want.verdict) << shape.label;
+    EXPECT_EQ(packet.data(), want.bytes) << shape.label;
+    ++packets[want.counter];
+    bytes[want.counter] += packet.size();
+    if (want.counter == 0) {
+      // Translation adds no validation issue: clean frames stay clean.
+      const auto before = net::parse_packet(shape.packet);
+      const auto after = net::parse_packet(packet);
+      EXPECT_EQ(net::validate_packet(after, packet.data()),
+                net::validate_packet(before, shape.packet.data()))
+          << shape.label;
     }
-    std::vector<ppe::Verdict> verdicts(n, ppe::Verdict::drop);
-    batched.process_batch(ctx_ptrs.data(), verdicts.data(), n);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(verdicts[i], run(scalar, scalar_pkts[i]))
-          << "packet " << i << " n " << n;
-      EXPECT_EQ(batch_pkts[i].data(), scalar_pkts[i].data())
-          << "packet " << i << " n " << n;
-    }
-    const auto a = batched.counters();
-    const auto b = scalar.counters();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].packets, b[i].packets) << "counter " << i;
-      EXPECT_EQ(a[i].bytes, b[i].bytes) << "counter " << i;
-    }
+  }
+  const auto counters = nat.counters();
+  ASSERT_EQ(counters.size(), 3u);
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    EXPECT_EQ(counters[i].packets, packets[i]) << "counter " << i;
+    EXPECT_EQ(counters[i].bytes, bytes[i]) << "counter " << i;
   }
 }
 
+// The suite name predates the fast path moving from a batch entry point into
+// process(); "scalar" is now the parser-built reference above.
+
 TEST(StaticNatBatch, MatchesScalarAcrossShapesForwardMiss) {
-  expect_batch_equals_scalar(NatMissAction::forward);
+  expect_fast_path_matches_reference(NatMissAction::forward,
+                                     NatDirection::source);
 }
 
 TEST(StaticNatBatch, MatchesScalarAcrossShapesDropMiss) {
-  expect_batch_equals_scalar(NatMissAction::drop);
+  expect_fast_path_matches_reference(NatMissAction::drop,
+                                     NatDirection::source);
 }
 
 TEST(StaticNatBatch, MatchesScalarAcrossShapesPuntMiss) {
-  expect_batch_equals_scalar(NatMissAction::punt);
+  expect_fast_path_matches_reference(NatMissAction::punt,
+                                     NatDirection::source);
 }
 
 TEST(StaticNatBatch, DestinationModeMatchesScalar) {
-  using testing::ip;
-  NatConfig config;
-  config.direction = NatDirection::destination;
-  StaticNat batched(config);
-  StaticNat scalar(config);
-  ASSERT_TRUE(batched.add_mapping(ip(203, 0, 113, 5), ip(10, 0, 0, 5)));
-  ASSERT_TRUE(scalar.add_mapping(ip(203, 0, 113, 5), ip(10, 0, 0, 5)));
-
-  std::vector<net::Packet> batch_pkts;
-  std::vector<net::Packet> scalar_pkts;
-  for (int i = 0; i < 8; ++i) {
-    auto packet = testing::tcp_packet(ip(8, 8, 8, 8),
-                                      i % 2 == 0 ? ip(203, 0, 113, 5)
-                                                 : ip(203, 0, 113, 6),
-                                      53, 1000 + i);
-    batch_pkts.push_back(packet);
-    scalar_pkts.push_back(packet);
-  }
-  std::vector<ppe::PacketContext> ctxs;
-  ctxs.reserve(batch_pkts.size());
-  std::vector<ppe::PacketContext*> ctx_ptrs;
-  for (auto& packet : batch_pkts) {
-    ctxs.emplace_back(packet);
-    ctx_ptrs.push_back(&ctxs.back());
-  }
-  std::vector<ppe::Verdict> verdicts(batch_pkts.size(), ppe::Verdict::drop);
-  batched.process_batch(ctx_ptrs.data(), verdicts.data(), batch_pkts.size());
-  for (std::size_t i = 0; i < batch_pkts.size(); ++i) {
-    EXPECT_EQ(verdicts[i], run(scalar, scalar_pkts[i])) << "packet " << i;
-    EXPECT_EQ(batch_pkts[i].data(), scalar_pkts[i].data()) << "packet " << i;
-    // Rewritten packets still carry valid checksums.
-    const auto parsed = net::parse_packet(batch_pkts[i]);
-    EXPECT_TRUE(net::validate_packet(parsed, batch_pkts[i].data()).empty());
+  for (const auto miss : {NatMissAction::forward, NatMissAction::drop,
+                          NatMissAction::punt}) {
+    SCOPED_TRACE(static_cast<int>(miss));
+    expect_fast_path_matches_reference(miss, NatDirection::destination);
   }
 }
 

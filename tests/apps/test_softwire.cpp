@@ -102,6 +102,22 @@ TEST(LwAftrApp, EncapsulatesMappedDownstreamTraffic) {
   EXPECT_EQ(app.stat_packets(LwAftr::stat_encapsulated), 1u);
 }
 
+TEST(LwAftrApp, EncapsulatesPlainUdpToTheVxlanPort) {
+  // A subscriber may own port 4789; a payload without the VXLAN I flag is
+  // ordinary UDP, not a malformed tunnel frame.
+  LwAftr app(aftr_config());
+  const std::uint16_t port = net::VxlanHeader::udp_port;
+  ASSERT_TRUE(app.add_binding(ip(198, 51, 100, 1), psid_of_port(kParams, port),
+                              kParams, b4(9)));
+  auto packet = udp_packet(ip(192, 0, 2, 50), ip(198, 51, 100, 1), 9999, port);
+  EXPECT_EQ(run(app, packet), ppe::Verdict::forward);
+  const auto parsed = net::parse_packet(packet.data());
+  ASSERT_TRUE(parsed.outer.ipv6.has_value());
+  EXPECT_EQ(parsed.outer.ipv6->dst, b4(9));
+  EXPECT_EQ(app.stat_packets(LwAftr::stat_encapsulated), 1u);
+  EXPECT_EQ(app.stat_packets(LwAftr::stat_malformed), 0u);
+}
+
 TEST(LwAftrApp, DecapRestoresOriginalFrameAndChecksAntiSpoof) {
   LwAftr app(aftr_config());
   provision(app);

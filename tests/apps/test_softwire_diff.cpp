@@ -5,9 +5,6 @@
 //     from scratch (no shared code with the in-place edit primitives), and
 //   * the AFTR<->B4 round trip: encap at one end, decap at the other must be
 //     a byte-exact identity for every tunnel-eligible shape.
-// A third section replays the same shape zoo through process_batch at
-// widths {1, 8, 16} and demands verdict/byte/counter equality with scalar
-// process() — batching is a dispatch window, never a semantics change.
 #include <map>
 
 #include <gtest/gtest.h>
@@ -208,131 +205,6 @@ TEST(SoftwireDiff, B4EncapThenAftrDecapIsIdentity) {
     EXPECT_EQ(packet.data(), original.data()) << label;
     EXPECT_EQ(aftr_app.stat_packets(LwAftr::stat_decapsulated), 1u) << label;
   }
-}
-
-// --- batch-vs-scalar equivalence -------------------------------------------
-
-/// The full shape zoo, including non-tunnel shapes the app must pass
-/// through, reject or answer — batch dispatch must agree on all of them.
-std::vector<net::Packet> batch_shapes() {
-  std::vector<net::Packet> shapes;
-  for (auto& [label, packet] : downstream_shapes()) {
-    shapes.push_back(std::move(packet));
-  }
-  // Valid upstream tunnel frame (decap path).
-  {
-    auto up = udp_packet(shared_v4(), ip(192, 0, 2, 50),
-                         port_for_index(kParams, 0, 4), 443);
-    EXPECT_TRUE(net::encapsulate_ipv4_in_ipv6(up.data(), b4(1), aftr()));
-    shapes.push_back(std::move(up));
-  }
-  // Spoofed tunnel frame (wrong B4 for the inner source).
-  {
-    auto spoof = udp_packet(shared_v4(), ip(192, 0, 2, 50),
-                            port_for_index(kParams, 1, 4), 443);
-    EXPECT_TRUE(net::encapsulate_ipv4_in_ipv6(spoof.data(), b4(1), aftr()));
-    shapes.push_back(std::move(spoof));
-  }
-  // Hairpin: subscriber-to-subscriber through the tunnel.
-  {
-    auto hairpin =
-        udp_packet(shared_v4(), shared_v4(), port_for_index(kParams, 0, 9),
-                   port_for_index(kParams, 1, 9));
-    EXPECT_TRUE(net::encapsulate_ipv4_in_ipv6(hairpin.data(), b4(1), aftr()));
-    shapes.push_back(std::move(hairpin));
-  }
-  // Unmappable downstream (no such PSID lease).
-  shapes.push_back(udp_packet(ip(192, 0, 2, 50), shared_v4(), 9999,
-                              port_for_index(kParams, 9, 0)));
-  // Excluded system port.
-  shapes.push_back(udp_packet(ip(192, 0, 2, 50), shared_v4(), 9999, 80));
-  // IPv4 fragment.
-  {
-    auto frag = udp_packet(ip(192, 0, 2, 50), shared_v4(), 9999,
-                           port_for_index(kParams, 0, 0));
-    frag.data()[20] |= 0x20;  // more-fragments
-    shapes.push_back(std::move(frag));
-  }
-  // Foreign IPv6 (not for the AFTR).
-  shapes.push_back(net::PacketBuilder()
-                       .ethernet(mac(2), mac(1), net::EtherType::ipv6)
-                       .ipv6(b4(7), *net::Ipv6Address::parse("2001:db8::9"),
-                             net::IpProto::udp)
-                       .udp(1, 2)
-                       .payload_size(16)
-                       .build_packet());
-  // Non-IP.
-  {
-    net::Bytes frame(64, 0);
-    net::EthernetHeader eth;
-    eth.ether_type = std::uint16_t(net::EtherType::arp);
-    eth.serialize_to(frame, 0);
-    shapes.emplace_back(frame);
-  }
-  // Truncated runt.
-  {
-    auto runt = udp_packet(ip(192, 0, 2, 50), shared_v4(), 9999, 2000);
-    runt.data().resize(18);
-    shapes.push_back(std::move(runt));
-  }
-  return shapes;
-}
-
-void expect_batch_equals_scalar(SoftwireMissAction miss) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{8}, std::size_t{16}}) {
-    LwAftr batched(aftr_config(miss));
-    provision(batched);
-    LwAftr scalar(aftr_config(miss));
-    provision(scalar);
-
-    const auto shapes = batch_shapes();
-    std::vector<net::Packet> batch_pkts, scalar_pkts;
-    for (std::size_t i = 0; i < std::max(n, shapes.size()); ++i) {
-      batch_pkts.push_back(shapes[i % shapes.size()]);
-      scalar_pkts.push_back(shapes[i % shapes.size()]);
-    }
-    const std::size_t total = batch_pkts.size();
-
-    std::vector<ppe::PacketContext> ctxs;
-    ctxs.reserve(total);
-    std::vector<ppe::PacketContext*> ctx_ptrs;
-    for (auto& packet : batch_pkts) {
-      ctxs.emplace_back(packet);
-      ctx_ptrs.push_back(&ctxs.back());
-    }
-    std::vector<ppe::Verdict> verdicts(total, ppe::Verdict::drop);
-    // Feed the zoo through in bursts of n, like the engine would.
-    for (std::size_t at = 0; at < total; at += n) {
-      batched.process_batch(ctx_ptrs.data() + at, verdicts.data() + at,
-                            std::min(n, total - at));
-    }
-
-    for (std::size_t i = 0; i < total; ++i) {
-      EXPECT_EQ(verdicts[i], run(scalar, scalar_pkts[i]))
-          << "packet " << i << " width " << n;
-      EXPECT_EQ(batch_pkts[i].data(), scalar_pkts[i].data())
-          << "packet " << i << " width " << n;
-    }
-    const auto a = batched.counters();
-    const auto b = scalar.counters();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].packets, b[i].packets) << "counter " << i << " width " << n;
-      EXPECT_EQ(a[i].bytes, b[i].bytes) << "counter " << i << " width " << n;
-    }
-  }
-}
-
-TEST(SoftwireBatch, MatchesScalarAcrossShapesDropMiss) {
-  expect_batch_equals_scalar(SoftwireMissAction::drop);
-}
-
-TEST(SoftwireBatch, MatchesScalarAcrossShapesIcmpMiss) {
-  expect_batch_equals_scalar(SoftwireMissAction::icmp_reject);
-}
-
-TEST(SoftwireBatch, MatchesScalarAcrossShapesPuntMiss) {
-  expect_batch_equals_scalar(SoftwireMissAction::punt);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/nat.hpp"
-#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 
 namespace flexsfp::fabric {
@@ -50,22 +49,25 @@ void expect_stats_identical(const Stats& a, const Stats& b) {
 }
 
 TEST(ParallelTestbed, ParallelEqualsSequentialOracleAcrossSeeds) {
-  for (const std::uint64_t seed : {1ull, 7ull, 20260806ull}) {
+  for (const auto& [seed, workers] :
+       {std::pair{1ull, 4u}, std::pair{7ull, 4u}, std::pair{20260806ull, 4u},
+        std::pair{1ull, 2u}, std::pair{7ull, 2u}}) {
     auto config = two_way_config(seed, 4);
-    config.workers = 4;
+    config.workers = workers;
     ParallelTestbed parallel_bed(config, nat_factory());
     const auto parallel = parallel_bed.run();
     const auto sequential = parallel_bed.run_sequential();
 
-    ASSERT_GT(parallel.combined.sent.packets(), 0u) << "seed " << seed;
+    ASSERT_GT(parallel.combined.sent.packets(), 0u)
+        << "seed " << seed << " workers " << workers;
     expect_stats_identical(parallel.combined, sequential.combined);
     EXPECT_EQ(parallel.combined_counters, sequential.combined_counters)
-        << "seed " << seed;
+        << "seed " << seed << " workers " << workers;
     // The telemetry spine obeys the same oracle: merged registry snapshots
     // and sampled flight recordings are bit-identical.
     EXPECT_FALSE(parallel.combined_metrics.empty());
     EXPECT_EQ(parallel.combined_metrics, sequential.combined_metrics)
-        << "seed " << seed;
+        << "seed " << seed << " workers " << workers;
 
     ASSERT_EQ(parallel.shards.size(), sequential.shards.size());
     for (std::size_t i = 0; i < parallel.shards.size(); ++i) {
@@ -77,39 +79,6 @@ TEST(ParallelTestbed, ParallelEqualsSequentialOracleAcrossSeeds) {
                 sequential.shards[i].app_counters);
       EXPECT_EQ(parallel.shards[i].metrics, sequential.shards[i].metrics);
       EXPECT_EQ(parallel.shards[i].flight, sequential.shards[i].flight);
-    }
-  }
-}
-
-TEST(ParallelTestbed, BatchWidthIsInvisibleAcrossWorkerCounts) {
-  // The batched dispatcher drains only the same-timestamp frontier, so the
-  // batch width must be observable solely as throughput: merged snapshots,
-  // counters and stats are bit-identical for every (width, workers) pair.
-  auto config = two_way_config(17, 4);
-  config.batch_width = 1;
-  config.workers = 1;
-  ParallelTestbed oracle_bed(config, nat_factory());
-  const auto oracle = oracle_bed.run();
-  ASSERT_GT(oracle.combined.sent.packets(), 0u);
-  ASSERT_FALSE(oracle.combined_metrics.empty());
-
-  for (const std::size_t width : {std::size_t{8}, std::size_t{16}}) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      auto variant = two_way_config(17, 4);
-      variant.batch_width = width;
-      variant.workers = workers;
-      ParallelTestbed bed(variant, nat_factory());
-      const auto run = bed.run();
-      expect_stats_identical(run.combined, oracle.combined);
-      EXPECT_EQ(run.combined_counters, oracle.combined_counters)
-          << "width " << width << " workers " << workers;
-      EXPECT_EQ(run.combined_metrics, oracle.combined_metrics)
-          << "width " << width << " workers " << workers;
-      ASSERT_EQ(run.shards.size(), oracle.shards.size());
-      for (std::size_t i = 0; i < run.shards.size(); ++i) {
-        EXPECT_EQ(run.shards[i].flight, oracle.shards[i].flight)
-            << "width " << width << " workers " << workers << " shard " << i;
-      }
     }
   }
 }
@@ -206,44 +175,12 @@ TEST(ParallelTestbed, ShardsUseHashedSeedStreamsAndDisjointFlowSpace) {
   EXPECT_NE(s0.src_mac, s1.src_mac);
 }
 
-TEST(ParallelTestbed, ShardPlanRoundRobinsAndCapsWorkers) {
-  const auto plan = plan_shards(8, 3);
-  EXPECT_EQ(plan.workers, 3u);
-  ASSERT_EQ(plan.assignment.size(), 3u);
-  EXPECT_EQ(plan.assignment[0].size(), 3u);
-  EXPECT_EQ(plan.assignment[1].size(), 3u);
-  EXPECT_EQ(plan.assignment[2].size(), 2u);
-  EXPECT_EQ(plan.widest_worker(), 3u);
-
-  // More workers than shards is capped; zero means "use the hardware".
-  EXPECT_EQ(plan_shards(2, 16).workers, 2u);
-  EXPECT_GE(plan_shards(64, 0).workers, 1u);
-}
-
 TEST(ParallelTestbed, RejectsDegenerateConfigs) {
   ParallelTestbedConfig config;
   config.shards = 0;
   EXPECT_THROW(ParallelTestbed(config, nat_factory()), std::invalid_argument);
   config.shards = 1;
   EXPECT_THROW(ParallelTestbed(config, nullptr), std::invalid_argument);
-}
-
-TEST(ParallelForEachShard, RunsEveryJobExactlyOnce) {
-  std::vector<int> hits(64, 0);
-  parallel_for_each_shard(hits.size(), 4,
-                          [&](std::size_t i) { ++hits[i]; });
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelForEachShard, PropagatesTheLowestIndexedError) {
-  try {
-    parallel_for_each_shard(8, 4, [](std::size_t i) {
-      if (i >= 2) throw std::runtime_error("shard " + std::to_string(i));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "shard 2");
-  }
 }
 
 }  // namespace

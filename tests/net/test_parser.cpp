@@ -131,6 +131,29 @@ TEST(Parser, TunnelParsingCanBeDisabled) {
   EXPECT_TRUE(without.ok());
 }
 
+TEST(Parser, Udp4789WithoutVxlanIFlagIsPlainUdp) {
+  // payload_size fills bytes 0, 1, 2, ...: the VXLAN I flag (bit 3 of the
+  // first byte) is clear, so this is ordinary UDP that happens to use 4789.
+  const Bytes frame = PacketBuilder()
+                          .ethernet(mac(2), mac(1))
+                          .ipv4(Ipv4Address::from_octets(10, 0, 0, 1),
+                                Ipv4Address::from_octets(10, 0, 0, 2),
+                                IpProto::udp)
+                          .udp(1111, VxlanHeader::udp_port)
+                          .payload_size(VxlanHeader::size() + 16)
+                          .build();
+  const auto parsed = parse_packet(frame);
+  ASSERT_TRUE(parsed.ok()) << to_string(parsed.error);
+  ASSERT_TRUE(parsed.outer.udp.has_value());
+  EXPECT_EQ(parsed.outer.udp->dst_port, VxlanHeader::udp_port);
+  EXPECT_FALSE(parsed.vxlan.has_value());
+  EXPECT_FALSE(parsed.inner_eth.has_value());
+  EXPECT_FALSE(parsed.inner.has_value());
+  EXPECT_EQ(parsed.outer.payload_offset,
+            parsed.outer.l4_offset + UdpHeader::size());
+  EXPECT_TRUE(validate_packet(parsed, frame).empty());
+}
+
 TEST(Validate, CleanPacketHasNoIssues) {
   const Bytes frame = udp_frame();
   EXPECT_TRUE(validate_packet(parse_packet(frame), frame).empty());

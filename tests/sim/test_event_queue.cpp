@@ -102,78 +102,6 @@ TEST(EventQueueProperty, RandomSchedulesMatchOracle) {
   }
 }
 
-/// Re-entrant pusher for the drain_front property test: events spawn
-/// children (same-time or later) mid-drain, mirroring how components
-/// schedule follow-up work while a batch is being invoked. Every push goes
-/// to the queue and the oracle at the same point in program order, so the
-/// oracle's (time, push-order) ranking is exactly the queue's (time, seq)
-/// contract.
-struct Spawner {
-  EventQueue& queue;
-  OracleQueue& oracle;
-  std::vector<int>& order;
-  int& next_tag;
-
-  void schedule(TimePs at, int tag, int depth) {
-    queue.push(at, [this, at, tag, depth]() {
-      order.push_back(tag);
-      if (depth > 0) {
-        const int child = next_tag++;
-        // Odd children land on the batch's own timestamp (they must sort
-        // after every event pre-popped into the current batch), even ones
-        // strictly later.
-        schedule(at + (child % 2), child, depth - 1);
-      }
-    });
-    oracle.push(at, tag);
-  }
-};
-
-TEST(EventQueueProperty, DrainFrontMatchesScalarOracle) {
-  // drain_front(width) must be invisible next to scalar pops: it may only
-  // take same-timestamp events, at most `width` of them, in seq order —
-  // including events pushed *during* the batch by the invoked closures.
-  for (const std::size_t width :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}, std::size_t{16},
-        std::size_t{64}}) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      EventQueue queue;
-      OracleQueue oracle;
-      std::vector<int> queue_order;
-      std::vector<int> oracle_order;
-      int next_tag = 0;
-      Spawner spawner{queue, oracle, queue_order, next_tag};
-
-      std::mt19937_64 rng(seed);
-      for (int i = 0; i < 600; ++i) {
-        // Heavy timestamp ties (64 distinct times) so real batches form,
-        // plus a sprinkle far enough out to engage the overflow list.
-        const TimePs at = (i % 50 == 0)
-                              ? static_cast<TimePs>(10'000'000'000ull + i)
-                              : static_cast<TimePs>((rng() % 64) * 10'000);
-        spawner.schedule(at, next_tag++, static_cast<int>(rng() % 3));
-      }
-
-      while (!queue.empty()) {
-        const TimePs at = queue.min_time();
-        const std::size_t n = queue.drain_front(width);
-        ASSERT_GE(n, 1u);
-        ASSERT_LE(n, width);
-        for (std::size_t k = 0; k < n; ++k) {
-          const auto [oracle_at, oracle_tag] = oracle.pop();
-          // Every event in the batch carries the frontier timestamp; a
-          // later-time (or out-of-seq) event sneaking in fails here.
-          ASSERT_EQ(oracle_at, at) << "width " << width << " seed " << seed;
-          oracle_order.push_back(oracle_tag);
-        }
-      }
-      EXPECT_TRUE(oracle.empty());
-      EXPECT_EQ(queue_order, oracle_order)
-          << "width " << width << " seed " << seed;
-    }
-  }
-}
-
 TEST(EventQueueProperty, SameTimestampPopsInInsertionOrder) {
   EventQueue queue;
   std::vector<int> order;

@@ -51,11 +51,6 @@ POLICIES = [
     ("modules", "equal", "context"),
     ("crosspoint_drops*", "higher_is_worse", "strict"),  # deterministic sim
     ("rounds_*", "equal", "context"),  # sync windows are deterministic too
-    # Batched dispatch must be observable only as throughput: the bench
-    # re-runs its workload at widths {1,8,16} and sets batch_identical to 1
-    # iff every merged snapshot is bit-identical. A 0 is a semantics bug.
-    ("batch_identical", "lower_is_worse", "strict"),
-    ("batch_width", "equal", "context"),
     # RFC 8219 softwire bench: the binary-search throughput is an offered
     # rate in simulated time — a property of the code, not the host — and
     # the ledger/determinism flags are invariants, so all gate strictly.
