@@ -2,7 +2,7 @@
 // shard-per-thread runner over the sequential oracle, plus the determinism
 // self-check (parallel merges must be bit-identical to sequential).
 //
-// Usage: parallel_scaling [shards] [duration_us]
+// Usage: parallel_scaling [shards] [duration_us]   (defaults: 4 2000)
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,32 +13,15 @@
 #include "bench_util.hpp"
 #include "fabric/parallel_testbed.hpp"
 
-namespace {
-
 using namespace flexsfp;
 using namespace flexsfp::sim;  // time literals
 
-bool stats_identical(const sim::Stats& a, const sim::Stats& b) {
-  return a.sent.packets() == b.sent.packets() &&
-         a.sent.bytes() == b.sent.bytes() &&
-         a.received.packets() == b.received.packets() &&
-         a.received.bytes() == b.received.bytes() &&
-         a.latency.count() == b.latency.count() &&
-         a.latency.min() == b.latency.min() &&
-         a.latency.max() == b.latency.max() &&
-         a.latency.percentile(50) == b.latency.percentile(50) &&
-         a.latency.percentile(99) == b.latency.percentile(99) &&
-         a.latency.mean_ns() == b.latency.mean_ns() &&  // exact: fixed order
-         a.queue_drops == b.queue_drops && a.app_drops == b.app_drops &&
-         a.dark_drops == b.dark_drops && a.events == b.events;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const std::size_t shards = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 8;
+  // The defaults are the committed baseline's arguments, so a bare run
+  // reproduces bench/baselines/BENCH_parallel_scaling.json.
+  const std::size_t shards = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4;
   const auto duration_us =
-      argc > 2 ? std::strtoll(argv[2], nullptr, 10) : 20000;
+      argc > 2 ? std::strtoll(argv[2], nullptr, 10) : 2000;
   if (shards == 0 || duration_us <= 0) {
     std::fprintf(stderr,
                  "usage: %s [shards >= 1] [duration_us >= 1]  (got %s %s)\n",
@@ -82,14 +65,14 @@ int main(int argc, char** argv) {
   bench::rule(64);
   std::printf("%-10s %12.3f %10s %14.3g %12s\n", "1 (seq)",
               oracle.wall_seconds, "1.00x",
-              double(oracle.combined.events) / oracle.wall_seconds, "oracle");
+              double(oracle.events) / oracle.wall_seconds, "oracle");
 
   bool all_identical = true;
   bench::Figures figures{
       {"shards", double(shards)},
       {"wall_seconds_seq", oracle.wall_seconds},
       {"events_per_sec_seq",
-       double(oracle.combined.events) / oracle.wall_seconds}};
+       double(oracle.events) / oracle.wall_seconds}};
   for (unsigned workers : {2u, 4u, 8u}) {
     if (workers > shards) break;
     config.workers = workers;
@@ -99,37 +82,40 @@ int main(int argc, char** argv) {
       auto again = bed.run();
       if (again.wall_seconds < run.wall_seconds) run = std::move(again);
     }
-    // The determinism self-check covers the whole telemetry spine: merged
-    // registry snapshots must be bit-identical too, not just sim::Stats.
-    const bool same = stats_identical(run.combined, oracle.combined) &&
-                      run.combined_counters == oracle.combined_counters &&
-                      run.combined_metrics == oracle.combined_metrics;
+    // The determinism self-check covers the whole result: every merged
+    // registry series, the merged latency histogram and the event count.
+    const bool same = run.metrics == oracle.metrics &&
+                      run.latency == oracle.latency &&
+                      run.events == oracle.events;
     all_identical = all_identical && same;
     figures.emplace_back("speedup_w" + std::to_string(workers),
                          oracle.wall_seconds / run.wall_seconds);
     figures.emplace_back("events_per_sec_w" + std::to_string(workers),
-                         double(run.combined.events) / run.wall_seconds);
+                         double(run.events) / run.wall_seconds);
     std::printf("%-10u %12.3f %9.2fx %14.3g %12s\n", workers,
                 run.wall_seconds, oracle.wall_seconds / run.wall_seconds,
-                double(run.combined.events) / run.wall_seconds,
+                double(run.events) / run.wall_seconds,
                 same ? "yes" : "NO");
   }
   bench::rule(64);
 
+  const obs::MetricSnapshot& counts = oracle.metrics;
+  const std::uint64_t drops = counts.sum("server.queue_drops") +
+                              counts.sum("engine.app_drops") +
+                              counts.sum("module.dark_drops");
   std::printf(
       "\ncombined: sent=%llu received=%llu drops=%llu p50=%.1fns "
       "p99=%.1fns events=%llu\n",
-      static_cast<unsigned long long>(oracle.combined.sent.packets()),
-      static_cast<unsigned long long>(oracle.combined.received.packets()),
-      static_cast<unsigned long long>(oracle.combined.total_drops()),
-      to_nanos(oracle.combined.latency.percentile(50)),
-      to_nanos(oracle.combined.latency.percentile(99)),
-      static_cast<unsigned long long>(oracle.combined.events));
+      static_cast<unsigned long long>(counts.sum("gen.emitted.packets")),
+      static_cast<unsigned long long>(counts.sum("sink.received.packets")),
+      static_cast<unsigned long long>(drops),
+      to_nanos(oracle.latency.percentile(50)),
+      to_nanos(oracle.latency.percentile(99)),
+      static_cast<unsigned long long>(oracle.events));
 
-  figures.emplace_back("events_total", double(oracle.combined.events));
+  figures.emplace_back("events_total", double(oracle.events));
   figures.emplace_back("determinism_ok", all_identical ? 1.0 : 0.0);
-  bench::write_bench_json("parallel_scaling", oracle.combined_metrics,
-                          figures);
+  bench::write_bench_json("parallel_scaling", oracle.metrics, figures);
 
   if (std::thread::hardware_concurrency() < 2) {
     bench::note(

@@ -56,11 +56,13 @@ net::Ipv6Address subscriber_b4(std::size_t global) {
                                          static_cast<std::uint64_t>(global) + 1);
 }
 
+// Defaults are the committed baseline's arguments (1024 50 2), so a bare
+// run reproduces bench/baselines/BENCH_rfc8219.json.
 struct TrialSpec {
-  std::size_t subscribers = 8192;
+  std::size_t subscribers = 1024;
   double rate_gbps = 10.0;       // offered per direction
   std::size_t frame_size = 64;   // IPv4 frame; the v6 side carries +40
-  sim::TimePs duration = 200'000'000;  // 200 us
+  sim::TimePs duration = 50'000'000;  // 50 us
   unsigned workers = 2;
   bool churn = false;            // faults + lease churn + out-of-set ports
   bool collect_metrics = false;
@@ -351,7 +353,7 @@ int main(int argc, char** argv) {
 
   TrialSpec spec;
   if (argc > 1) spec.subscribers = std::strtoull(argv[1], nullptr, 10);
-  sim::TimePs trial_us = 200;
+  sim::TimePs trial_us = 50;
   if (argc > 2) trial_us = std::strtoll(argv[2], nullptr, 10);
   spec.duration = trial_us * 1'000'000;
   if (argc > 3) spec.workers = unsigned(std::strtoul(argv[3], nullptr, 10));

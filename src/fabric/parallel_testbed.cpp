@@ -62,12 +62,10 @@ ShardOutcome ParallelTestbed::run_shard(std::size_t shard,
   if (config.edge_traffic) {
     config.edge_traffic =
         shard_spec(*config.edge_traffic, config_.base_seed, shard, 0);
-    out.edge_seed = config.edge_traffic->seed;
   }
   if (config.optical_traffic) {
     config.optical_traffic =
         shard_spec(*config.optical_traffic, config_.base_seed, shard, 1);
-    out.optical_seed = config.optical_traffic->seed;
   }
   if (config.edge_faults) {
     config.edge_faults =
@@ -81,23 +79,10 @@ ShardOutcome ParallelTestbed::run_shard(std::size_t shard,
   ModuleTestbed testbed(std::move(config), std::move(app));
   out.result = testbed.run();
   out.metrics = out.result.metrics.with_label("shard", std::to_string(shard));
+  out.latency.merge(testbed.edge_sink().latency());
+  out.latency.merge(testbed.optical_sink().latency());
+  out.events = testbed.sim().executed_events();
   out.flight = testbed.sim().flight().events();
-
-  if (testbed.edge_gen() != nullptr) {
-    out.stats.sent.merge(testbed.edge_gen()->emitted());
-  }
-  if (testbed.optical_gen() != nullptr) {
-    out.stats.sent.merge(testbed.optical_gen()->emitted());
-  }
-  out.stats.received.merge(testbed.edge_sink().received());
-  out.stats.received.merge(testbed.optical_sink().received());
-  out.stats.latency.merge(testbed.edge_sink().latency());
-  out.stats.latency.merge(testbed.optical_sink().latency());
-  out.stats.queue_drops = out.result.ppe_queue_drops;
-  out.stats.app_drops = out.result.app_drops;
-  out.stats.dark_drops = testbed.module().packets_lost_while_dark();
-  out.stats.events = testbed.sim().executed_events();
-  out.app_counters = testbed.module().app().counters();
   return out;
 }
 
@@ -135,9 +120,9 @@ ParallelRunResult ParallelTestbed::run_with(unsigned workers) {
   // Barrier merge in shard order: the only ordering the combined numbers
   // ever see, so thread scheduling cannot leak into results.
   for (const auto& shard : out.shards) {
-    out.combined.merge(shard.stats);
-    ppe::merge_counter_snapshots(out.combined_counters, shard.app_counters);
-    out.combined_metrics.merge(shard.metrics);
+    out.metrics.merge(shard.metrics);
+    out.latency.merge(shard.latency);
+    out.events += shard.events;
   }
   return out;
 }

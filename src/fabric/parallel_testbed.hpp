@@ -5,16 +5,17 @@
 // traffic with no shared state. This runner exploits exactly that — traffic
 // is partitioned by module/port (the shard key), every shard gets its own
 // Simulation, FlexSfpModule, TrafficGen and Rng stream, shards run on
-// worker threads, and per-shard sim::Stats / ppe counters are merged at the
-// join barrier *in shard order*. Results are therefore bit-identical to the
-// sequential run (workers = 1), which tests use as the oracle.
+// worker threads, and each shard's registry snapshot and sink latency
+// histograms are merged at the join barrier *in shard order*. Results are
+// therefore bit-identical to the sequential run (workers = 1), which tests
+// use as the oracle. The merged snapshot is the run's only count: sent,
+// received, every drop class and every app counter are series in it.
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "fabric/testbed.hpp"
-#include "ppe/counters.hpp"
 #include "sim/stats.hpp"
 
 namespace flexsfp::fabric {
@@ -40,27 +41,30 @@ struct ParallelTestbedConfig {
 /// Everything one shard measured.
 struct ShardOutcome {
   std::size_t shard = 0;
-  std::uint64_t edge_seed = 0;     // derived stream seed actually used
-  std::uint64_t optical_seed = 0;  // 0 when the direction is absent
   TestbedResult result{};
-  sim::Stats stats{};
-  std::vector<ppe::CounterSnapshot> app_counters;
   /// The shard's registry snapshot re-labeled {shard=<id>}; shards build
   /// identical topologies, so the label is what keeps series distinct.
   obs::MetricSnapshot metrics;
+  /// Both sinks' end-to-end latency, edge sink first.
+  sim::LatencyHistogram latency;
+  /// Simulation events the shard executed.
+  std::uint64_t events = 0;
   /// The shard's sampled stage-hop events. Sampling keys off packet ids
   /// only, so this is bit-identical for any worker count.
   std::vector<obs::HopEvent> flight;
 };
 
+/// Shaped like FabricRunResult: counts live in `metrics`; latency and
+/// events stay plain fields until the registry has a histogram kind.
 struct ParallelRunResult {
   std::vector<ShardOutcome> shards;
-  /// Merged in shard order after the barrier — identical for any worker
-  /// count, including the sequential oracle.
-  sim::Stats combined{};
-  std::vector<ppe::CounterSnapshot> combined_counters;
-  /// Key-wise merge of every shard's labeled snapshot, in shard order.
-  obs::MetricSnapshot combined_metrics;
+  /// Key-wise merge of every shard's labeled snapshot, in shard order —
+  /// identical for any worker count, including the sequential oracle.
+  obs::MetricSnapshot metrics;
+  /// Shard latencies merged in shard order (the mean is a floating-point
+  /// sum, so the fixed order is what keeps it bit-identical).
+  sim::LatencyHistogram latency;
+  std::uint64_t events = 0;
   unsigned workers_used = 1;
   double wall_seconds = 0;
 };

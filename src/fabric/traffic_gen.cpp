@@ -20,10 +20,10 @@ TrafficGen::TrafficGen(sim::Simulation& sim, TrafficSpec spec,
       output_(output),
       rng_(spec.seed),
       flow_dist_(std::max<std::size_t>(spec.flow_count, 1), spec.zipf_skew),
-      wire_time_(spec.rate) {
-  const std::string name = sim_.metrics().unique_name("gen");
-  meter_.bind(sim_.metrics(), "gen.emitted", {{"gen", name}});
-  flight_stage_ = sim_.flight().register_stage(name);
+      wire_time_(spec.rate),
+      name_(sim.metrics().unique_name("gen")),
+      meter_(sim.metrics(), "gen.emitted", {{"gen", name_}}) {
+  flight_stage_ = sim_.flight().register_stage(name_);
   prebuild_templates();
 }
 
@@ -159,10 +159,11 @@ void TrafficGen::emit() {
 }
 
 Sink::Sink(sim::Simulation& sim, std::size_t retain_last)
-    : sim_(sim), retain_(retain_last) {
-  const std::string name = sim_.metrics().unique_name("sink");
-  meter_.bind(sim_.metrics(), "sink.received", {{"sink", name}});
-  flight_stage_ = sim_.flight().register_stage(name);
+    : sim_(sim),
+      retain_(retain_last),
+      name_(sim.metrics().unique_name("sink")),
+      meter_(sim.metrics(), "sink.received", {{"sink", name_}}) {
+  flight_stage_ = sim_.flight().register_stage(name_);
 }
 
 void Sink::handle_packet(net::PacketPtr packet) {

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "net/builder.hpp"
@@ -91,6 +92,7 @@ class TrafficGen {
   sim::Rng rng_;
   sim::ZipfDistribution flow_dist_;
   sim::SerializationTimer wire_time_{};
+  std::string name_;  // registry-unique: "gen", "gen1", ...
   sim::TrafficMeter meter_;
   /// Reused across emits so steady-state frame assembly into pooled
   /// packets allocates nothing.
@@ -133,6 +135,7 @@ class Sink final : public sim::PacketHandler {
  private:
   sim::Simulation& sim_;
   std::size_t retain_;
+  std::string name_;  // registry-unique: "sink", "sink1", ...
   sim::TrafficMeter meter_;
   sim::LatencyHistogram latency_;
   std::uint16_t flight_stage_ = 0;

@@ -23,48 +23,9 @@ std::uint64_t CounterBank::bytes(std::size_t index) const {
   return index < bytes_.size() ? bytes_[index] : 0;
 }
 
-void CounterBank::accumulate(std::size_t index, std::uint64_t packets,
-                             std::uint64_t bytes) {
-  if (index >= packets_.size()) {
-    throw std::out_of_range("CounterBank::accumulate index " +
-                            std::to_string(index));
-  }
-  packets_[index] += packets;
-  bytes_[index] += bytes;
-}
-
-void CounterBank::merge(const CounterBank& other) {
-  if (other.name_ != name_ || other.packets_.size() != packets_.size()) {
-    throw std::invalid_argument("CounterBank::merge shape mismatch: " +
-                                name_ + "[" + std::to_string(size()) +
-                                "] vs " + other.name_ + "[" +
-                                std::to_string(other.size()) + "]");
-  }
-  for (std::size_t i = 0; i < packets_.size(); ++i) {
-    packets_[i] += other.packets_[i];
-    bytes_[i] += other.bytes_[i];
-  }
-}
-
 void CounterBank::clear() {
   std::fill(packets_.begin(), packets_.end(), 0);
   std::fill(bytes_.begin(), bytes_.end(), 0);
-}
-
-void merge_counter_snapshots(std::vector<CounterSnapshot>& total,
-                             const std::vector<CounterSnapshot>& addend) {
-  for (const auto& snap : addend) {
-    bool found = false;
-    for (auto& existing : total) {
-      if (existing.bank == snap.bank && existing.index == snap.index) {
-        existing.packets += snap.packets;
-        existing.bytes += snap.bytes;
-        found = true;
-        break;
-      }
-    }
-    if (!found) total.push_back(snap);
-  }
 }
 
 }  // namespace flexsfp::ppe

@@ -20,13 +20,6 @@ class CounterBank {
   [[nodiscard]] std::size_t size() const { return packets_.size(); }
 
   void add(std::size_t index, std::uint64_t bytes);
-  /// Accumulate a pre-counted contribution — the merge-safe form `add` is a
-  /// special case of (one packet, `bytes` bytes).
-  void accumulate(std::size_t index, std::uint64_t packets,
-                  std::uint64_t bytes);
-  /// Fold another bank in element-wise. Banks must agree on name and size
-  /// (shards run identical designs); throws std::invalid_argument otherwise.
-  void merge(const CounterBank& other);
   [[nodiscard]] std::uint64_t packets(std::size_t index) const;
   [[nodiscard]] std::uint64_t bytes(std::size_t index) const;
   void clear();
@@ -52,11 +45,5 @@ struct CounterSnapshot {
   friend bool operator==(const CounterSnapshot&,
                          const CounterSnapshot&) = default;
 };
-
-/// Fold `addend` snapshots into `total` by (bank, index): matching entries
-/// accumulate, new ones append in `addend` order. Deterministic for a fixed
-/// merge order — how shard-parallel runs combine per-app counters.
-void merge_counter_snapshots(std::vector<CounterSnapshot>& total,
-                             const std::vector<CounterSnapshot>& addend);
 
 }  // namespace flexsfp::ppe

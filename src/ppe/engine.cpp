@@ -14,7 +14,7 @@ Engine::Engine(sim::Simulation& sim, PpeAppPtr app, hw::DatapathConfig datapath,
   // reads them through the registry at snapshot time instead of mirroring
   // them into a second count. It follows app_ across replace_app().
   collector_token_ = sim.metrics().register_collector(
-      [this](obs::MetricSnapshot& snap) { collect_app_counters(snap); });
+      [this](obs::MetricSnapshot& snap) { collect_counter_banks(snap); });
 }
 
 Engine::~Engine() { sim().metrics().unregister_collector(collector_token_); }
@@ -42,7 +42,7 @@ void Engine::bind_app_series() {
   remember(punted_ids_, punted_id_);
 }
 
-void Engine::collect_app_counters(obs::MetricSnapshot& snap) const {
+void Engine::collect_counter_banks(obs::MetricSnapshot& snap) const {
   for (const CounterSnapshot& counter : app_->counters()) {
     obs::Labels labels{{"app", app_->name()},
                        {"bank", counter.bank},
@@ -101,7 +101,6 @@ void Engine::finish(net::PacketPtr packet) {
         sim().schedule_in(drain, [this, token = lifetime_token(),
                                   packet = std::move(packet)]() mutable {
           if (!token.alive()) return;  // engine torn down during drain
-          latency_.record(sim().now() - packet->ingress_time_ps());
           forward_(std::move(packet));
         });
       }

@@ -13,7 +13,6 @@
 #include "hw/clock.hpp"
 #include "ppe/app.hpp"
 #include "sim/link.hpp"
-#include "sim/stats.hpp"
 
 namespace flexsfp::ppe {
 
@@ -52,11 +51,6 @@ class Engine final : public sim::QueuedServer {
   [[nodiscard]] std::uint64_t punted() const { return sum(punted_ids_); }
   /// Queue-full losses are on the base class: drops().
 
-  /// Engine-internal latency (queue wait + streaming + pipeline depth).
-  [[nodiscard]] const sim::LatencyHistogram& latency() const {
-    return latency_;
-  }
-
  protected:
   [[nodiscard]] sim::TimePs service_time(const net::Packet& packet) override;
   void finish(net::PacketPtr packet) override;
@@ -65,7 +59,7 @@ class Engine final : public sim::QueuedServer {
   /// (Re)intern the verdict series for the current app's label set.
   void bind_app_series();
   /// Push the live app's CounterBank snapshots into a registry snapshot.
-  void collect_app_counters(obs::MetricSnapshot& snap) const;
+  void collect_counter_banks(obs::MetricSnapshot& snap) const;
   [[nodiscard]] std::uint64_t sum(const std::vector<obs::MetricId>& ids) const;
 
   PpeAppPtr app_;
@@ -80,7 +74,6 @@ class Engine final : public sim::QueuedServer {
   sim::TimePs drain_ = 0;
   std::function<void(net::PacketPtr)> forward_;
   std::function<void(net::PacketPtr)> control_;
-  sim::LatencyHistogram latency_;
   obs::MetricId forwarded_id_;
   obs::MetricId dropped_id_;
   obs::MetricId punted_id_;

@@ -33,12 +33,14 @@ std::string to_string(ShellKind kind) {
 
 ArchitectureShell::ArchitectureShell(sim::Simulation& sim, ppe::PpeAppPtr app,
                                      ShellConfig config)
-    : sim_(sim), config_(config), name_(sim.metrics().unique_name("shell")) {
-  for (std::size_t port = 0; port < 2; ++port) {
-    ingress_meters_[port].bind(
-        sim_.metrics(), "shell.ingress",
-        {{"port", std::to_string(port)}, {"shell", name_}});
-  }
+    : sim_(sim),
+      config_(config),
+      name_(sim.metrics().unique_name("shell")),
+      ingress_meters_{
+          sim::TrafficMeter(sim.metrics(), "shell.ingress",
+                            {{"port", "0"}, {"shell", name_}}),
+          sim::TrafficMeter(sim.metrics(), "shell.ingress",
+                            {{"port", "1"}, {"shell", name_}})} {
   control_punts_id_ =
       sim_.metrics().counter("shell.control_punts", {{"shell", name_}});
   degraded_forwards_id_ =

@@ -1,17 +1,26 @@
 #include "sfp/standard_sfp.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace flexsfp::sfp {
 
-StandardSfp::StandardSfp(sim::Simulation& sim, sim::TimePs serdes_latency_ps)
-    : sim_(sim), serdes_latency_ps_(serdes_latency_ps) {
-  const std::string name = sim_.metrics().unique_name("standard-sfp");
-  for (std::size_t port = 0; port < 2; ++port) {
-    meters_[port].bind(sim_.metrics(), "sfp.ingress",
-                       {{"port", std::to_string(port)}, {"sfp", name}});
-  }
+namespace {
+
+std::array<sim::TrafficMeter, 2> ingress_meters(obs::MetricRegistry& metrics) {
+  const std::string name = metrics.unique_name("standard-sfp");
+  return {sim::TrafficMeter(metrics, "sfp.ingress",
+                            {{"port", "0"}, {"sfp", name}}),
+          sim::TrafficMeter(metrics, "sfp.ingress",
+                            {{"port", "1"}, {"sfp", name}})};
 }
+
+}  // namespace
+
+StandardSfp::StandardSfp(sim::Simulation& sim, sim::TimePs serdes_latency_ps)
+    : sim_(sim),
+      serdes_latency_ps_(serdes_latency_ps),
+      meters_(ingress_meters(sim.metrics())) {}
 
 void StandardSfp::inject(int port, net::PacketPtr packet) {
   meters_[static_cast<std::size_t>(port)].record(packet->size());

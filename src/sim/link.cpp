@@ -10,9 +10,9 @@ Link::Link(Simulation& sim, DataRate rate, TimePs propagation_delay,
       rate_(rate),
       propagation_delay_(propagation_delay),
       destination_(destination),
-      name_(sim.metrics().unique_name(std::move(name))) {
-  meter_.bind(sim_.metrics(), "link.traffic", {{"link", name_}});
-  wire_meter_.bind(sim_.metrics(), "link.wire", {{"link", name_}});
+      name_(sim.metrics().unique_name(std::move(name))),
+      meter_(sim.metrics(), "link.traffic", {{"link", name_}}),
+      wire_meter_(sim.metrics(), "link.wire", {{"link", name_}}) {
   busy_id_ = sim_.metrics().counter("link.busy_ps", {{"link", name_}});
   flight_stage_ = sim_.flight().register_stage(name_);
 }
@@ -72,8 +72,8 @@ QueuedServer::QueuedServer(Simulation& sim, std::size_t queue_capacity,
                            std::string stage)
     : sim_(sim),
       queue_(queue_capacity),
-      stage_(sim.metrics().unique_name(std::move(stage))) {
-  served_.bind(sim_.metrics(), "server.served", {{"stage", stage_}});
+      stage_(sim.metrics().unique_name(std::move(stage))),
+      served_(sim.metrics(), "server.served", {{"stage", stage_}}) {
   drops_id_ = sim_.metrics().counter("server.queue_drops", {{"stage", stage_}});
   busy_id_ = sim_.metrics().counter("server.busy_ps", {{"stage", stage_}});
   watermark_id_ =

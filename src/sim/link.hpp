@@ -143,8 +143,8 @@ class QueuedServer : public PacketHandler {
   Simulation& sim_;
   BoundedQueue queue_;
   bool busy_ = false;
-  TrafficMeter served_;
   std::string stage_;
+  TrafficMeter served_;
   obs::MetricId drops_id_;
   obs::MetricId busy_id_;
   obs::MetricId watermark_id_;

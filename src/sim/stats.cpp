@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace flexsfp::sim {
 
@@ -53,16 +52,6 @@ TimePs LatencyHistogram::percentile(double p) const {
   return max_;
 }
 
-std::string LatencyHistogram::summary() const {
-  char buffer[160];
-  std::snprintf(buffer, sizeof buffer,
-                "n=%llu min=%.1fns p50=%.1fns p99=%.1fns max=%.1fns",
-                static_cast<unsigned long long>(count_), to_nanos(min()),
-                to_nanos(percentile(50)), to_nanos(percentile(99)),
-                to_nanos(max_));
-  return buffer;
-}
-
 void LatencyHistogram::merge(const LatencyHistogram& other) {
   if (other.count_ == 0) return;
   if (count_ == 0 || other.min_ < min_) min_ = other.min_;
@@ -72,16 +61,6 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
-}
-
-void Stats::merge(const Stats& other) {
-  sent.merge(other.sent);
-  received.merge(other.received);
-  latency.merge(other.latency);
-  queue_drops += other.queue_drops;
-  app_drops += other.app_drops;
-  dark_drops += other.dark_drops;
-  events += other.events;
 }
 
 void LatencyHistogram::reset() {

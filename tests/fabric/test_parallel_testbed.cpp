@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/nat.hpp"
 #include "sim/random.hpp"
 
@@ -29,25 +31,6 @@ AppFactory nat_factory() {
   return [] { return std::make_unique<apps::StaticNat>(); };
 }
 
-void expect_stats_identical(const Stats& a, const Stats& b) {
-  EXPECT_EQ(a.sent.packets(), b.sent.packets());
-  EXPECT_EQ(a.sent.bytes(), b.sent.bytes());
-  EXPECT_EQ(a.received.packets(), b.received.packets());
-  EXPECT_EQ(a.received.bytes(), b.received.bytes());
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.min(), b.latency.min());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_EQ(a.latency.percentile(50), b.latency.percentile(50));
-  EXPECT_EQ(a.latency.percentile(99), b.latency.percentile(99));
-  // Exact double equality is intentional: shards merge in shard order in
-  // both modes, so even floating-point sums must be bit-identical.
-  EXPECT_EQ(a.latency.mean_ns(), b.latency.mean_ns());
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.app_drops, b.app_drops);
-  EXPECT_EQ(a.dark_drops, b.dark_drops);
-  EXPECT_EQ(a.events, b.events);
-}
-
 TEST(ParallelTestbed, ParallelEqualsSequentialOracleAcrossSeeds) {
   for (const auto& [seed, workers] :
        {std::pair{1ull, 4u}, std::pair{7ull, 4u}, std::pair{20260806ull, 4u},
@@ -58,27 +41,28 @@ TEST(ParallelTestbed, ParallelEqualsSequentialOracleAcrossSeeds) {
     const auto parallel = parallel_bed.run();
     const auto sequential = parallel_bed.run_sequential();
 
-    ASSERT_GT(parallel.combined.sent.packets(), 0u)
+    ASSERT_GT(parallel.metrics.sum("gen.emitted.packets"), 0u)
         << "seed " << seed << " workers " << workers;
-    expect_stats_identical(parallel.combined, sequential.combined);
-    EXPECT_EQ(parallel.combined_counters, sequential.combined_counters)
+    // Sent/received packets and bytes, every drop class and every app
+    // counter are series of the merged snapshot, so one equality covers
+    // them all; latency and events are the two plain fields beside it.
+    // Latency equality is exact, mean included: shards merge in shard
+    // order in both modes, so even the floating-point sum is bit-identical.
+    EXPECT_EQ(parallel.metrics, sequential.metrics)
         << "seed " << seed << " workers " << workers;
-    // The telemetry spine obeys the same oracle: merged registry snapshots
-    // and sampled flight recordings are bit-identical.
-    EXPECT_FALSE(parallel.combined_metrics.empty());
-    EXPECT_EQ(parallel.combined_metrics, sequential.combined_metrics)
-        << "seed " << seed << " workers " << workers;
+    EXPECT_EQ(parallel.latency, sequential.latency);
+    EXPECT_EQ(parallel.events, sequential.events);
 
     ASSERT_EQ(parallel.shards.size(), sequential.shards.size());
     for (std::size_t i = 0; i < parallel.shards.size(); ++i) {
-      expect_stats_identical(parallel.shards[i].stats,
-                             sequential.shards[i].stats);
-      EXPECT_EQ(parallel.shards[i].result.edge_to_optical.latency_p99_ns,
-                sequential.shards[i].result.edge_to_optical.latency_p99_ns);
-      EXPECT_EQ(parallel.shards[i].app_counters,
-                sequential.shards[i].app_counters);
-      EXPECT_EQ(parallel.shards[i].metrics, sequential.shards[i].metrics);
-      EXPECT_EQ(parallel.shards[i].flight, sequential.shards[i].flight);
+      const auto& p = parallel.shards[i];
+      const auto& s = sequential.shards[i];
+      EXPECT_EQ(p.metrics, s.metrics);
+      EXPECT_EQ(p.latency, s.latency);
+      EXPECT_EQ(p.events, s.events);
+      EXPECT_EQ(p.result.edge_to_optical.latency_p99_ns,
+                s.result.edge_to_optical.latency_p99_ns);
+      EXPECT_EQ(p.flight, s.flight);
     }
   }
 }
@@ -89,9 +73,9 @@ TEST(ParallelTestbed, RepeatedParallelRunsAreDeterministic) {
   ParallelTestbed bed(config, nat_factory());
   const auto first = bed.run();
   const auto second = bed.run();
-  expect_stats_identical(first.combined, second.combined);
-  EXPECT_EQ(first.combined_counters, second.combined_counters);
-  EXPECT_EQ(first.combined_metrics, second.combined_metrics);
+  EXPECT_EQ(first.metrics, second.metrics);
+  EXPECT_EQ(first.latency, second.latency);
+  EXPECT_EQ(first.events, second.events);
 }
 
 TEST(ParallelTestbed, MergedSnapshotCarriesShardLabeledSeries) {
@@ -101,19 +85,44 @@ TEST(ParallelTestbed, MergedSnapshotCarriesShardLabeledSeries) {
   const auto run = bed.run();
   // Identical shard topologies stay distinct through the {shard=N} label,
   // and sum() folds the per-shard series back into the global count.
-  EXPECT_EQ(run.combined_metrics.value("gen.emitted.packets{gen=gen,shard=0}"),
-            run.shards[0].stats.sent.packets() -
-                run.shards[0].result.optical_to_edge.sent_packets);
-  EXPECT_EQ(run.combined_metrics.sum("gen.emitted.packets"),
-            run.combined.sent.packets());
-  EXPECT_EQ(run.combined_metrics.sum("sink.received.packets"),
-            run.combined.received.packets());
-  EXPECT_EQ(run.combined_metrics.sum("module.dark_drops"),
-            run.combined.dark_drops);
+  EXPECT_EQ(run.metrics.value("gen.emitted.packets{gen=gen,shard=0}"),
+            run.shards[0].result.edge_to_optical.sent_packets);
+  EXPECT_EQ(run.metrics.value("gen.emitted.packets{gen=gen1,shard=0}"),
+            run.shards[0].result.optical_to_edge.sent_packets);
+  std::uint64_t sent = 0, received = 0;
+  for (const auto& shard : run.shards) {
+    sent += shard.result.edge_to_optical.sent_packets +
+            shard.result.optical_to_edge.sent_packets;
+    received += shard.result.edge_to_optical.received_packets +
+                shard.result.optical_to_edge.received_packets;
+  }
+  EXPECT_EQ(run.metrics.sum("gen.emitted.packets"), sent);
+  EXPECT_EQ(run.metrics.sum("sink.received.packets"), received);
+  // Every delivered packet left a latency sample.
+  EXPECT_EQ(run.latency.count(), received);
   // Flight recording is on by default and sampled ~1-in-64.
   std::uint64_t hops = 0;
   for (const auto& shard : run.shards) hops += shard.flight.size();
   EXPECT_GT(hops, 0u);
+}
+
+// The NAT's "missed" counter, app.counter.packets{bank=nat_stats,index=1},
+// summed over every shard label the snapshot carries.
+std::uint64_t nat_missed(const obs::MetricSnapshot& snap) {
+  const auto has = [](const obs::MetricSample& sample, const char* key,
+                      const char* value) {
+    return std::find(sample.labels.begin(), sample.labels.end(),
+                     obs::Labels::value_type{key, value}) !=
+           sample.labels.end();
+  };
+  std::uint64_t total = 0;
+  for (const auto& sample : snap.samples()) {
+    if (sample.name == "app.counter.packets" &&
+        has(sample, "bank", "nat_stats") && has(sample, "index", "1")) {
+      total += sample.value;
+    }
+  }
+  return total;
 }
 
 TEST(ParallelTestbed, CombinedIsTheSumOfShards) {
@@ -122,36 +131,29 @@ TEST(ParallelTestbed, CombinedIsTheSumOfShards) {
   ParallelTestbed bed(config, nat_factory());
   const auto run = bed.run();
 
-  std::uint64_t sent = 0, received = 0, latency_count = 0, events = 0;
+  const auto drops = [](const obs::MetricSnapshot& snap) {
+    return snap.sum("server.queue_drops") + snap.sum("engine.app_drops") +
+           snap.sum("module.dark_drops");
+  };
+  std::uint64_t sent = 0, received = 0, dropped = 0, missed = 0;
+  std::uint64_t latency_count = 0, events = 0;
   for (const auto& shard : run.shards) {
-    sent += shard.stats.sent.packets();
-    received += shard.stats.received.packets();
-    latency_count += shard.stats.latency.count();
-    events += shard.stats.events;
+    sent += shard.metrics.sum("gen.emitted.packets");
+    received += shard.metrics.sum("sink.received.packets");
+    dropped += drops(shard.metrics);
+    missed += nat_missed(shard.metrics);
+    latency_count += shard.latency.count();
+    events += shard.events;
   }
-  EXPECT_EQ(run.combined.sent.packets(), sent);
-  EXPECT_EQ(run.combined.received.packets(), received);
-  EXPECT_EQ(run.combined.latency.count(), latency_count);
-  EXPECT_EQ(run.combined.events, events);
-
-  // Per-app counters accumulate too: the NAT's "missed" counter (index 1,
-  // no mappings installed) must equal the packets every shard processed.
-  std::uint64_t missed_total = 0;
-  for (const auto& shard : run.shards) {
-    for (const auto& snap : shard.app_counters) {
-      if (snap.bank == "nat_stats" && snap.index == 1) {
-        missed_total += snap.packets;
-      }
-    }
-  }
-  bool found = false;
-  for (const auto& snap : run.combined_counters) {
-    if (snap.bank == "nat_stats" && snap.index == 1) {
-      EXPECT_EQ(snap.packets, missed_total);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found || missed_total == 0);
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(run.metrics.sum("gen.emitted.packets"), sent);
+  EXPECT_EQ(run.metrics.sum("sink.received.packets"), received);
+  EXPECT_EQ(drops(run.metrics), dropped);
+  // No mappings are installed, so every processed packet misses.
+  EXPECT_GT(missed, 0u);
+  EXPECT_EQ(nat_missed(run.metrics), missed);
+  EXPECT_EQ(run.latency.count(), latency_count);
+  EXPECT_EQ(run.events, events);
 }
 
 TEST(ParallelTestbed, ShardsUseHashedSeedStreamsAndDisjointFlowSpace) {

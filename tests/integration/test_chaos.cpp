@@ -177,10 +177,12 @@ TEST(ChaosSoak, ParallelShardsStayBitIdenticalWithInjectionEnabled) {
   const auto parallel = bed.run();
   const auto sequential = bed.run_sequential();
 
-  ASSERT_GT(parallel.combined.sent.packets(), 0u);
+  ASSERT_GT(parallel.metrics.sum("gen.emitted.packets"), 0u);
   // The whole registry — fault.* series included — obeys the oracle.
-  EXPECT_EQ(parallel.combined_metrics, sequential.combined_metrics);
-  EXPECT_GT(parallel.combined_metrics.sum("fault.dropped"), 0u);
+  EXPECT_EQ(parallel.metrics, sequential.metrics);
+  EXPECT_GT(parallel.metrics.sum("fault.dropped"), 0u);
+  EXPECT_EQ(parallel.latency, sequential.latency);
+  EXPECT_EQ(parallel.events, sequential.events);
   ASSERT_EQ(parallel.shards.size(), sequential.shards.size());
   for (std::size_t i = 0; i < parallel.shards.size(); ++i) {
     const auto& p = parallel.shards[i].result.edge_fault_tally;

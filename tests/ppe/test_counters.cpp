@@ -41,52 +41,5 @@ TEST(CounterBank, ResourceUsageHasUsram) {
   EXPECT_GT(bank.resource_usage().usram_blocks, 0u);
 }
 
-TEST(CounterBank, AccumulateFoldsPrecountedContributions) {
-  CounterBank bank("stats", 2);
-  bank.accumulate(1, 10, 640);
-  bank.add(1, 64);
-  EXPECT_EQ(bank.packets(1), 11u);
-  EXPECT_EQ(bank.bytes(1), 704u);
-  EXPECT_THROW(bank.accumulate(2, 1, 1), std::out_of_range);
-}
-
-TEST(CounterBank, MergeAddsElementwise) {
-  CounterBank total("stats", 3);
-  CounterBank shard("stats", 3);
-  total.add(0, 100);
-  shard.add(0, 50);
-  shard.accumulate(2, 4, 256);
-  total.merge(shard);
-  EXPECT_EQ(total.packets(0), 2u);
-  EXPECT_EQ(total.bytes(0), 150u);
-  EXPECT_EQ(total.packets(2), 4u);
-  EXPECT_EQ(total.bytes(2), 256u);
-  EXPECT_EQ(shard.packets(0), 1u);  // the source is untouched
-}
-
-TEST(CounterBank, MergeRejectsShapeMismatch) {
-  CounterBank a("stats", 2);
-  CounterBank renamed("other", 2);
-  CounterBank resized("stats", 3);
-  EXPECT_THROW(a.merge(renamed), std::invalid_argument);
-  EXPECT_THROW(a.merge(resized), std::invalid_argument);
-}
-
-TEST(CounterSnapshots, MergeAccumulatesByBankAndIndex) {
-  std::vector<CounterSnapshot> total = {{"nat_stats", 0, 5, 500}};
-  const std::vector<CounterSnapshot> shard = {{"nat_stats", 0, 2, 200},
-                                              {"nat_stats", 1, 1, 64}};
-  merge_counter_snapshots(total, shard);
-  ASSERT_EQ(total.size(), 2u);
-  EXPECT_EQ(total[0].packets, 7u);
-  EXPECT_EQ(total[0].bytes, 700u);
-  EXPECT_EQ(total[1].packets, 1u);  // new entry appended in addend order
-
-  // Merging shard snapshots in a fixed order is deterministic.
-  std::vector<CounterSnapshot> again = {{"nat_stats", 0, 5, 500}};
-  merge_counter_snapshots(again, shard);
-  EXPECT_EQ(total, again);
-}
-
 }  // namespace
 }  // namespace flexsfp::ppe

@@ -6,19 +6,25 @@ namespace flexsfp::sim {
 namespace {
 
 TEST(TrafficMeter, RatesFromSpan) {
-  TrafficMeter meter;
+  obs::MetricRegistry registry;
+  TrafficMeter meter(registry, "link.traffic", {{"link", "l0"}});
   meter.record(1000);
   meter.record(1000);
-  // 2000 bytes over 1 ms -> 16 Mb/s, 2000 pps.
+  // 2000 bytes over 1 ms -> 16 Mb/s.
   EXPECT_DOUBLE_EQ(meter.bits_per_second(1_ms), 16e6);
-  EXPECT_DOUBLE_EQ(meter.packets_per_second(1_ms), 2000.0);
   EXPECT_EQ(meter.packets(), 2u);
+  // The registry series are the meter's only tally.
+  EXPECT_EQ(registry.value("link.traffic.packets{link=l0}"), 2u);
+  EXPECT_EQ(registry.value("link.traffic.bytes{link=l0}"), 2000u);
   meter.reset();
   EXPECT_EQ(meter.bytes(), 0u);
+  EXPECT_EQ(registry.value("link.traffic.packets{link=l0}"), 0u);
+  EXPECT_EQ(registry.value("link.traffic.bytes{link=l0}"), 0u);
 }
 
 TEST(TrafficMeter, ZeroSpanGivesZeroRate) {
-  TrafficMeter meter;
+  obs::MetricRegistry registry;
+  TrafficMeter meter(registry, "sink.received");
   meter.record(100);
   EXPECT_DOUBLE_EQ(meter.bits_per_second(0), 0.0);
 }
@@ -61,31 +67,12 @@ TEST(LatencyHistogram, SubNanosecondClampsToFirstBucket) {
   EXPECT_GT(hist.percentile(50), 0);
 }
 
-TEST(LatencyHistogram, SummaryMentionsPercentiles) {
-  LatencyHistogram hist;
-  hist.record(1_us);
-  const auto s = hist.summary();
-  EXPECT_NE(s.find("p99"), std::string::npos);
-  EXPECT_NE(s.find("n=1"), std::string::npos);
-}
-
 TEST(LatencyHistogram, ResetClears) {
   LatencyHistogram hist;
   hist.record(1_us);
   hist.reset();
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.max(), 0);
-}
-
-TEST(TrafficMeter, MergeAddsCounts) {
-  TrafficMeter a, b;
-  a.record(100);
-  b.record(200);
-  b.record(300);
-  a.merge(b);
-  EXPECT_EQ(a.packets(), 3u);
-  EXPECT_EQ(a.bytes(), 600u);
-  EXPECT_EQ(b.packets(), 2u);  // the source is untouched
 }
 
 TEST(LatencyHistogram, MergeEqualsUnionOfSamples) {
@@ -119,66 +106,17 @@ TEST(LatencyHistogram, MergeWithEmptyIsIdentity) {
   EXPECT_EQ(empty.max(), 1_us);
 }
 
-TEST(Stats, MergeFoldsEveryField) {
-  Stats a, b;
-  a.sent.record(64);
-  a.received.record(64);
-  a.latency.record(100_ns);
-  a.queue_drops = 1;
-  a.app_drops = 2;
-  a.dark_drops = 3;
-  a.events = 10;
-
-  b.sent.record(1518);
-  b.sent.record(1518);
-  b.latency.record(900_ns);
-  b.queue_drops = 10;
-  b.app_drops = 20;
-  b.dark_drops = 30;
-  b.events = 100;
-
-  a.merge(b);
-  EXPECT_EQ(a.sent.packets(), 3u);
-  EXPECT_EQ(a.sent.bytes(), 64u + 2 * 1518u);
-  EXPECT_EQ(a.received.packets(), 1u);
-  EXPECT_EQ(a.latency.count(), 2u);
-  EXPECT_EQ(a.latency.min(), 100_ns);
-  EXPECT_EQ(a.latency.max(), 900_ns);
-  EXPECT_EQ(a.queue_drops, 11u);
-  EXPECT_EQ(a.app_drops, 22u);
-  EXPECT_EQ(a.dark_drops, 33u);
-  EXPECT_EQ(a.events, 110u);
-  EXPECT_EQ(a.total_drops(), 66u);
-}
-
-TEST(Stats, MergeIsAssociativeOnCounters) {
-  Stats shard[3];
-  for (int i = 0; i < 3; ++i) {
-    for (int p = 0; p <= i; ++p) shard[i].sent.record(64);
-    shard[i].queue_drops = std::uint64_t(i);
-  }
-  Stats left_fold;  // (s0 + s1) + s2
-  left_fold.merge(shard[0]);
-  left_fold.merge(shard[1]);
-  left_fold.merge(shard[2]);
-
-  Stats pair;  // s0 + (s1 + s2)
-  pair.merge(shard[1]);
-  pair.merge(shard[2]);
-  Stats right_fold;
-  right_fold.merge(shard[0]);
-  right_fold.merge(pair);
-
-  EXPECT_EQ(left_fold.sent.packets(), right_fold.sent.packets());
-  EXPECT_EQ(left_fold.queue_drops, right_fold.queue_drops);
-}
-
-TEST(Stats, LossRateFromMeters) {
-  Stats stats;
-  EXPECT_DOUBLE_EQ(stats.loss_rate(), 0.0);  // nothing sent
-  for (int i = 0; i < 4; ++i) stats.sent.record(64);
-  for (int i = 0; i < 3; ++i) stats.received.record(64);
-  EXPECT_DOUBLE_EQ(stats.loss_rate(), 0.25);
+TEST(LatencyHistogram, EqualityComparesSamplesNotTheMemo) {
+  LatencyHistogram a, b;
+  a.record(1_us);
+  a.record(2_us);
+  b.record(2_us);  // reverse order: same buckets and sum, different memo
+  b.record(1_us);
+  EXPECT_EQ(a, b);
+  b.record(3_us);
+  EXPECT_FALSE(a == b);
+  b.reset();
+  EXPECT_EQ(b, LatencyHistogram{});
 }
 
 TEST(WindowedRate, ReportsCompletedWindows) {

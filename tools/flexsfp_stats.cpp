@@ -9,9 +9,11 @@
 //   2  usage error / unknown app
 #include <algorithm>
 #include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -94,20 +96,42 @@ const std::string* label(const obs::MetricSample& sample,
   return nullptr;
 }
 
-bool parse_u64(const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(text, &end, 10);
-  return end != nullptr && *end == '\0' && end != text;
+// Checked full-string parses: the whole argument must be the number, and it
+// must fit the target type. No sign, whitespace or trailing garbage.
+template <typename Unsigned>
+bool parse_uint(const char* text, Unsigned& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+bool parse_double(const char* text, double& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end && std::isfinite(out);
+}
+
+bool parse_probability(const char* text, double& out) {
+  return parse_double(text, out) && out >= 0.0 && out <= 1.0;
 }
 
 // "start:dur" in microseconds -> a FlapWindow in picoseconds.
 bool parse_flap(const char* text, sim::FlapWindow& out) {
-  char* end = nullptr;
-  const std::uint64_t start_us = std::strtoull(text, &end, 10);
-  if (end == text || *end != ':') return false;
-  const char* dur_text = end + 1;
-  const std::uint64_t dur_us = std::strtoull(dur_text, &end, 10);
-  if (end == dur_text || *end != '\0' || dur_us == 0) return false;
+  constexpr std::uint64_t max_us =
+      std::uint64_t(std::numeric_limits<sim::TimePs>::max()) / 1'000'000;
+  const char* end = text + std::strlen(text);
+  std::uint64_t start_us = 0;
+  std::uint64_t dur_us = 0;
+  const auto start = std::from_chars(text, end, start_us);
+  if (start.ec != std::errc{} || start.ptr == end || *start.ptr != ':') {
+    return false;
+  }
+  const auto dur = std::from_chars(start.ptr + 1, end, dur_us);
+  // The injector tests now < start + duration, so the end must fit too.
+  if (dur.ec != std::errc{} || dur.ptr != end || dur_us == 0 ||
+      start_us > max_us || dur_us > max_us - start_us) {
+    return false;
+  }
   out.start = static_cast<sim::TimePs>(start_us) * 1'000'000;
   out.duration = static_cast<sim::TimePs>(dur_us) * 1'000'000;
   return true;
@@ -196,9 +220,20 @@ int main(int argc, char** argv) {
   std::uint64_t fault_seed = 1;
   bool pools = false;
   std::uint64_t shards = 4;
-  std::uint64_t workers = 0;
+  unsigned workers = 0;
   bool fabric = false;
   std::uint64_t modules = 3;
+
+  // A malformed or out-of-range numeric value is a usage error, never a
+  // silent 0 or a truncation.
+  const auto bad_value = [](const std::string& flag, const char* text,
+                            const char* expected) {
+    std::fprintf(stderr, "flexsfp-stats: %s takes %s (got '%s')\n",
+                 flag.c_str(), expected, text);
+    return 2;
+  };
+  constexpr const char* kCount = "a non-negative integer";
+  constexpr const char* kProbability = "a probability in [0, 1]";
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -208,35 +243,57 @@ int main(int argc, char** argv) {
     } else if (arg == "--list-apps") {
       list_apps = true;
     } else if (arg == "--rate" && has_value) {
-      rate_gbps = std::strtod(argv[++i], nullptr);
+      if (!parse_double(argv[++i], rate_gbps)) {
+        return bad_value(arg, argv[i], "a number");
+      }
     } else if (arg == "--frame" && has_value) {
-      if (!parse_u64(argv[++i], frame)) frame = 0;
+      if (!parse_uint(argv[++i], frame)) {
+        return bad_value(arg, argv[i], kCount);
+      }
     } else if (arg == "--imix") {
       imix = true;
     } else if (arg == "--poisson") {
       poisson = true;
     } else if (arg == "--duration-us" && has_value) {
-      if (!parse_u64(argv[++i], duration_us)) duration_us = 0;
+      if (!parse_uint(argv[++i], duration_us)) {
+        return bad_value(arg, argv[i], kCount);
+      }
     } else if (arg == "--two-way") {
       two_way = true;
     } else if (arg == "--seed" && has_value) {
-      parse_u64(argv[++i], seed);
+      if (!parse_uint(argv[++i], seed)) {
+        return bad_value(arg, argv[i], kCount);
+      }
     } else if (arg == "--sample-every" && has_value) {
-      parse_u64(argv[++i], sample_every);
+      if (!parse_uint(argv[++i], sample_every)) {
+        return bad_value(arg, argv[i], kCount);
+      }
     } else if (arg == "--flight" && has_value) {
-      parse_u64(argv[++i], flight_tail);
+      if (!parse_uint(argv[++i], flight_tail)) {
+        return bad_value(arg, argv[i], kCount);
+      }
     } else if (arg == "--faults") {
       faults = true;
     } else if (arg == "--drop" && has_value) {
-      drop_prob = std::strtod(argv[++i], nullptr);
+      if (!parse_probability(argv[++i], drop_prob)) {
+        return bad_value(arg, argv[i], kProbability);
+      }
     } else if (arg == "--ber" && has_value) {
-      ber = std::strtod(argv[++i], nullptr);
+      if (!parse_probability(argv[++i], ber)) {
+        return bad_value(arg, argv[i], kProbability);
+      }
     } else if (arg == "--dup" && has_value) {
-      dup_prob = std::strtod(argv[++i], nullptr);
+      if (!parse_probability(argv[++i], dup_prob)) {
+        return bad_value(arg, argv[i], kProbability);
+      }
     } else if (arg == "--reorder" && has_value) {
-      reorder_prob = std::strtod(argv[++i], nullptr);
+      if (!parse_probability(argv[++i], reorder_prob)) {
+        return bad_value(arg, argv[i], kProbability);
+      }
     } else if (arg == "--mgmt-loss" && has_value) {
-      mgmt_loss = std::strtod(argv[++i], nullptr);
+      if (!parse_probability(argv[++i], mgmt_loss)) {
+        return bad_value(arg, argv[i], kProbability);
+      }
     } else if (arg == "--flap" && has_value) {
       sim::FlapWindow window;
       if (!parse_flap(argv[++i], window)) {
@@ -246,17 +303,25 @@ int main(int argc, char** argv) {
       }
       flaps.push_back(window);
     } else if (arg == "--fault-seed" && has_value) {
-      parse_u64(argv[++i], fault_seed);
+      if (!parse_uint(argv[++i], fault_seed)) {
+        return bad_value(arg, argv[i], kCount);
+      }
     } else if (arg == "--pools") {
       pools = true;
     } else if (arg == "--fabric") {
       fabric = true;
     } else if (arg == "--modules" && has_value) {
-      if (!parse_u64(argv[++i], modules)) modules = 0;
+      if (!parse_uint(argv[++i], modules)) {
+        return bad_value(arg, argv[i], kCount);
+      }
     } else if (arg == "--shards" && has_value) {
-      if (!parse_u64(argv[++i], shards)) shards = 0;
+      if (!parse_uint(argv[++i], shards)) {
+        return bad_value(arg, argv[i], kCount);
+      }
     } else if (arg == "--workers" && has_value) {
-      parse_u64(argv[++i], workers);
+      if (!parse_uint(argv[++i], workers)) {
+        return bad_value(arg, argv[i], "a worker count that fits unsigned");
+      }
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--csv" && has_value) {
@@ -457,7 +522,7 @@ int main(int argc, char** argv) {
     // the pool.* series of each shard's snapshot are that shard's pool.
     fabric::ParallelTestbedConfig parallel_config;
     parallel_config.shards = static_cast<std::size_t>(shards);
-    parallel_config.workers = static_cast<unsigned>(workers);
+    parallel_config.workers = workers;
     parallel_config.base_seed = seed;
     parallel_config.prototype = config;
     fabric::ParallelTestbed bed(parallel_config, [&registry, &app_name] {
