@@ -1,10 +1,13 @@
 // Shared table-printing and result-emission helpers for the paper benches.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -12,17 +15,42 @@
 
 namespace flexsfp::bench {
 
-/// Repeat count for best-of-N timing loops: FLEXSFP_BENCH_REPEATS overrides
-/// the bench's default (clamped to [1, 1000]). Timing benches run their
-/// deterministic workload N times and report the fastest run — the one
-/// least disturbed by other tenants of the machine.
-inline int repeats_from_env(int fallback) {
-  const char* env = std::getenv("FLEXSFP_BENCH_REPEATS");
-  if (env == nullptr || *env == '\0') return fallback;
-  const long parsed = std::strtol(env, nullptr, 10);
-  if (parsed < 1) return 1;
-  if (parsed > 1000) return 1000;
-  return static_cast<int>(parsed);
+/// Print the usage line and exit 2: the bench CLIs' answer to bad input.
+[[noreturn]] inline void usage_error(const char* argv0, const char* usage,
+                                     const std::string& problem) {
+  std::fprintf(stderr, "usage: %s %s  (%s)\n", argv0, usage, problem.c_str());
+  std::exit(2);
+}
+
+/// Positional argument `index` parsed in full as an integer in [lo, hi], or
+/// `fallback` when it is absent. Text, a suffix ("4x"), a sign on an
+/// unsigned value or anything out of range is a usage error, so a typo never
+/// runs a silently different experiment.
+template <typename T>
+T positional_arg(int argc, char** argv, int index, T fallback, T lo, T hi,
+                 const char* usage) {
+  if (argc <= index) return fallback;
+  const std::string_view text = argv[index];
+  T value{};
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc{} || end != text.data() + text.size() || value < lo ||
+      value > hi) {
+    usage_error(argv[0], usage,
+                "argument " + std::to_string(index) + " must be an integer in [" +
+                    std::to_string(lo) + ", " + std::to_string(hi) +
+                    "], got '" + std::string(text) + "'");
+  }
+  return value;
+}
+
+/// More than `max` positional arguments is a usage error too.
+inline void max_args(int argc, char** argv, int max, const char* usage) {
+  if (argc - 1 > max) {
+    usage_error(argv[0], usage,
+                "takes at most " + std::to_string(max) + " argument(s), got " +
+                    std::to_string(argc - 1));
+  }
 }
 
 inline void title(const std::string& text) {
@@ -38,7 +66,7 @@ inline void note(const std::string& text) {
   std::printf("note: %s\n", text.c_str());
 }
 
-/// Named scalar results of a bench run ("speedup_w4", "delivered_gbps").
+/// Named scalar results of a bench run ("delivered_gbps_64", "ledger_ok").
 using Figures = std::vector<std::pair<std::string, double>>;
 
 /// Write `BENCH_<name>.json` in the working directory: the bench's headline

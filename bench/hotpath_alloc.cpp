@@ -1,13 +1,14 @@
 // Hot-path allocation audit: drives the full module pipeline (TrafficGen ->
 // fault-free link -> PPE running StaticNat -> sink) under a counting global
-// allocator and reports events/sec plus allocations/packet. The packet pool
-// and the slab event queue exist to push the steady-state figure toward
-// zero; this bench is the evidence, and tools/bench_gate.py fails CI when
-// either figure regresses against bench/baselines/.
+// allocator and reports allocations/packet. The packet pool and the slab
+// event queue exist to push the steady-state figure toward zero; this bench
+// is the evidence, and tools/bench_gate.py fails CI when it regresses
+// against bench/baselines/. Host cost per packet is perfbench's job.
+//
+// Usage: hotpath_alloc   (takes no arguments)
 #include <execinfo.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -92,94 +93,71 @@ int main(int argc, char** argv) {
   using namespace flexsfp;
   using namespace flexsfp::sim;
 
-  // Longer horizon than nat_linerate so steady state dominates setup; a
-  // repeat count argument lets profiling runs scale the workload further.
-  const int repeats = argc > 1 ? std::atoi(argv[1]) : 1;
+  bench::max_args(argc, argv, 0, "");
   if (const char* every = std::getenv("FLEXSFP_ALLOC_TRACE")) {
     g_trace_every = std::strtoull(every, nullptr, 10);
   }
 
-  bench::title("Hot-path audit — events/sec and allocations/packet");
-  std::printf("%-10s %12s %14s %14s %12s\n", "frame", "packets", "events",
-              "allocs/pkt", "events/s");
-  bench::rule(70);
+  bench::title("Hot-path audit — allocations/packet");
+  std::printf("%-10s %12s %14s %14s\n", "frame", "packets", "events",
+              "allocs/pkt");
+  bench::rule(56);
 
   obs::MetricSnapshot all_frames;
   bench::Figures figures;
   double worst_allocs_per_packet = 0;
   std::uint64_t events_total = 0;
-  double wall_seconds = 0;
 
   for (const std::size_t frame : {64, 512, 1518}) {
-    std::uint64_t frame_events = 0;
-    std::uint64_t frame_packets = 0;
-    std::uint64_t frame_allocs = 0;
-    double frame_seconds = 0;
-    for (int rep = 0; rep < repeats; ++rep) {
-      fabric::TestbedConfig config;
-      fabric::TrafficSpec spec;
-      spec.rate = DataRate::gbps(10);
-      spec.fixed_size = frame;
-      spec.duration = 2_ms;
-      config.edge_traffic = spec;
+    // Longer horizon than nat_linerate so steady state dominates setup.
+    fabric::TestbedConfig config;
+    fabric::TrafficSpec spec;
+    spec.rate = DataRate::gbps(10);
+    spec.fixed_size = frame;
+    spec.duration = 2_ms;
+    config.edge_traffic = spec;
 
-      auto nat = std::make_unique<apps::StaticNat>();
-      for (std::uint32_t i = 0; i < 1024; ++i) {
-        nat->add_mapping(net::Ipv4Address{0x0a000000u + i},
-                         net::Ipv4Address{0xcb007100u + i});
-      }
-      fabric::ModuleTestbed testbed(std::move(config), std::move(nat));
-
-      // Count only what run() allocates: the construction above (tables,
-      // registry, pool reserve) is setup, not the hot path.
-      const std::uint64_t allocs_before =
-          g_allocations.load(std::memory_order_relaxed);
-      g_tracing.store(true, std::memory_order_relaxed);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto result = testbed.run();
-      const auto t1 = std::chrono::steady_clock::now();
-      g_tracing.store(false, std::memory_order_relaxed);
-      frame_allocs += g_allocations.load(std::memory_order_relaxed) -
-                      allocs_before;
-      frame_seconds += std::chrono::duration<double>(t1 - t0).count();
-      frame_events += testbed.sim().executed_events();
-      frame_packets += result.edge_to_optical.sent_packets;
-      if (rep == 0) {
-        all_frames.merge(
-            result.metrics.with_label("frame", std::to_string(frame)));
-      }
+    auto nat = std::make_unique<apps::StaticNat>();
+    for (std::uint32_t i = 0; i < 1024; ++i) {
+      nat->add_mapping(net::Ipv4Address{0x0a000000u + i},
+                       net::Ipv4Address{0xcb007100u + i});
     }
+    fabric::ModuleTestbed testbed(std::move(config), std::move(nat));
+
+    // Count only what run() allocates: the construction above (tables,
+    // registry, pool reserve) is setup, not the hot path.
+    const std::uint64_t allocs_before =
+        g_allocations.load(std::memory_order_relaxed);
+    g_tracing.store(true, std::memory_order_relaxed);
+    const auto result = testbed.run();
+    g_tracing.store(false, std::memory_order_relaxed);
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - allocs_before;
+    const std::uint64_t events = testbed.sim().executed_events();
+    const std::uint64_t packets = result.edge_to_optical.sent_packets;
+    all_frames.merge(result.metrics.with_label("frame", std::to_string(frame)));
+
     const double allocs_per_packet =
-        frame_packets > 0 ? double(frame_allocs) / double(frame_packets) : 0;
-    const double events_per_sec =
-        frame_seconds > 0 ? double(frame_events) / frame_seconds : 0;
-    std::printf("%7zu B %12llu %14llu %14.3f %12.3g\n", frame,
-                static_cast<unsigned long long>(frame_packets),
-                static_cast<unsigned long long>(frame_events),
-                allocs_per_packet, events_per_sec);
+        packets > 0 ? double(allocs) / double(packets) : 0;
+    std::printf("%7zu B %12llu %14llu %14.3f\n", frame,
+                static_cast<unsigned long long>(packets),
+                static_cast<unsigned long long>(events), allocs_per_packet);
     worst_allocs_per_packet =
         std::max(worst_allocs_per_packet, allocs_per_packet);
-    events_total += frame_events;
-    wall_seconds += frame_seconds;
+    events_total += events;
     figures.emplace_back("allocs_per_packet_" + std::to_string(frame),
                          allocs_per_packet);
   }
-  bench::rule(70);
+  bench::rule(56);
 
-  const double events_per_sec =
-      wall_seconds > 0 ? double(events_total) / wall_seconds : 0;
-  std::printf("total: %llu events in %.3f s = %.3g events/s, worst "
-              "allocs/pkt %.3f\n",
-              static_cast<unsigned long long>(events_total), wall_seconds,
-              events_per_sec, worst_allocs_per_packet);
+  std::printf("total: %llu events, worst allocs/pkt %.3f\n",
+              static_cast<unsigned long long>(events_total),
+              worst_allocs_per_packet);
   figures.emplace_back("events_total", double(events_total));
-  figures.emplace_back("wall_seconds", wall_seconds);
-  figures.emplace_back("events_per_sec", events_per_sec);
   figures.emplace_back("allocs_per_packet", worst_allocs_per_packet);
   bench::write_bench_json("hotpath_alloc", all_frames, figures);
   bench::note(
       "allocations/packet is machine-independent and gated strictly by "
-      "tools/bench_gate.py; events/sec is hardware-dependent and gated "
-      "loosely.");
+      "tools/bench_gate.py.");
   return 0;
 }

@@ -2,12 +2,13 @@
 // shard-per-thread runner over the sequential oracle, plus the determinism
 // self-check (parallel merges must be bit-identical to sequential).
 //
+// The speedup table is stdout only: one run per worker count, host-bound.
+// BENCH_parallel_scaling.json carries only what the simulation decides
+// (shards, events, determinism); steady host cost is perfbench's job.
+//
 // Usage: parallel_scaling [shards] [duration_us]   (defaults: 4 2000)
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
-#include <utility>
 
 #include "apps/nat.hpp"
 #include "bench_util.hpp"
@@ -19,15 +20,12 @@ using namespace flexsfp::sim;  // time literals
 int main(int argc, char** argv) {
   // The defaults are the committed baseline's arguments, so a bare run
   // reproduces bench/baselines/BENCH_parallel_scaling.json.
-  const std::size_t shards = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4;
-  const auto duration_us =
-      argc > 2 ? std::strtoll(argv[2], nullptr, 10) : 2000;
-  if (shards == 0 || duration_us <= 0) {
-    std::fprintf(stderr,
-                 "usage: %s [shards >= 1] [duration_us >= 1]  (got %s %s)\n",
-                 argv[0], argc > 1 ? argv[1] : "-", argc > 2 ? argv[2] : "-");
-    return 2;
-  }
+  constexpr const char* usage = "[shards] [duration_us]";
+  bench::max_args(argc, argv, 2, usage);
+  const auto shards =
+      bench::positional_arg<std::size_t>(argc, argv, 1, 4, 1, 4096, usage);
+  const auto duration_us = bench::positional_arg<long long>(
+      argc, argv, 2, 2000, 1, 1'000'000'000, usage);
 
   bench::title("Flow-sharded parallel testbed scaling");
   std::printf("shards=%zu, %lld us of Poisson IMIX @ 9 Gb/s per module, "
@@ -47,18 +45,9 @@ int main(int argc, char** argv) {
 
   auto factory = [] { return std::make_unique<apps::StaticNat>(); };
 
-  // Timing is best-of-N (results are bit-identical across repeats, only the
-  // wall clock moves), with one discarded warmup to fault in code and data.
-  const int repeats = bench::repeats_from_env(3);
-
   config.workers = 1;
   fabric::ParallelTestbed sequential_bed(config, factory);
-  (void)sequential_bed.run_sequential();  // warmup
-  auto oracle = sequential_bed.run_sequential();
-  for (int rep = 1; rep < repeats; ++rep) {
-    auto again = sequential_bed.run_sequential();
-    if (again.wall_seconds < oracle.wall_seconds) oracle = std::move(again);
-  }
+  const auto oracle = sequential_bed.run_sequential();
 
   std::printf("%-10s %12s %10s %14s %12s\n", "workers", "wall (s)", "speedup",
               "events/s", "identical?");
@@ -68,30 +57,17 @@ int main(int argc, char** argv) {
               double(oracle.events) / oracle.wall_seconds, "oracle");
 
   bool all_identical = true;
-  bench::Figures figures{
-      {"shards", double(shards)},
-      {"wall_seconds_seq", oracle.wall_seconds},
-      {"events_per_sec_seq",
-       double(oracle.events) / oracle.wall_seconds}};
   for (unsigned workers : {2u, 4u, 8u}) {
     if (workers > shards) break;
     config.workers = workers;
     fabric::ParallelTestbed bed(config, factory);
-    auto run = bed.run();
-    for (int rep = 1; rep < repeats; ++rep) {
-      auto again = bed.run();
-      if (again.wall_seconds < run.wall_seconds) run = std::move(again);
-    }
+    const auto run = bed.run();
     // The determinism self-check covers the whole result: every merged
     // registry series, the merged latency histogram and the event count.
     const bool same = run.metrics == oracle.metrics &&
                       run.latency == oracle.latency &&
                       run.events == oracle.events;
     all_identical = all_identical && same;
-    figures.emplace_back("speedup_w" + std::to_string(workers),
-                         oracle.wall_seconds / run.wall_seconds);
-    figures.emplace_back("events_per_sec_w" + std::to_string(workers),
-                         double(run.events) / run.wall_seconds);
     std::printf("%-10u %12.3f %9.2fx %14.3g %12s\n", workers,
                 run.wall_seconds, oracle.wall_seconds / run.wall_seconds,
                 double(run.events) / run.wall_seconds,
@@ -113,8 +89,9 @@ int main(int argc, char** argv) {
       to_nanos(oracle.latency.percentile(99)),
       static_cast<unsigned long long>(oracle.events));
 
-  figures.emplace_back("events_total", double(oracle.events));
-  figures.emplace_back("determinism_ok", all_identical ? 1.0 : 0.0);
+  const bench::Figures figures{{"shards", double(shards)},
+                               {"events_total", double(oracle.events)},
+                               {"determinism_ok", all_identical ? 1.0 : 0.0}};
   bench::write_bench_json("parallel_scaling", oracle.metrics, figures);
 
   if (std::thread::hardware_concurrency() < 2) {

@@ -17,10 +17,12 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/softwire.hpp"
 #include "bench_util.hpp"
+#include "fabric/fabric_testbed.hpp"
 #include "fabric/testbed.hpp"
 #include "net/builder.hpp"
 #include "net/bytes.hpp"
@@ -65,41 +67,54 @@ struct TrialSpec {
   sim::TimePs duration = 50'000'000;  // 50 us
   unsigned workers = 2;
   bool churn = false;            // faults + lease churn + out-of-set ports
-  bool collect_metrics = false;
 };
 
-struct ShardStats {
-  std::uint64_t sent_down = 0, recv_down = 0;
-  std::uint64_t sent_up = 0, recv_up = 0;
-  std::uint64_t injector_drops = 0;
-  std::uint64_t queue_drops = 0;
-  std::uint64_t app_drops = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t pool_heap_fallbacks = 0;
-  std::uint64_t unmappable = 0;
-  std::uint64_t antispoof = 0;
+/// Sum of the `name` series carrying every label in `match`, over all
+/// shards of a merged snapshot.
+std::uint64_t sum_where(const obs::MetricSnapshot& snapshot,
+                        std::string_view name, const obs::Labels& match) {
+  std::uint64_t total = 0;
+  for (const obs::MetricSample& sample : snapshot.samples()) {
+    const auto has = [&sample](const auto& label) {
+      return std::find(sample.labels.begin(), sample.labels.end(), label) !=
+             sample.labels.end();
+    };
+    if (sample.name == name && std::all_of(match.begin(), match.end(), has)) {
+      total += sample.value;
+    }
+  }
+  return total;
+}
+
+/// What a trial measured: every registry series (one shard's labelled
+/// {shard=N}, or all shards merged in index order) plus the two sink
+/// latency histograms, which live outside the registry.
+struct TrialResult {
+  obs::MetricSnapshot metrics;
   sim::LatencyHistogram lat_down;  // measured at the optical-side sink
   sim::LatencyHistogram lat_up;    // measured at the edge-side sink
-  obs::MetricSnapshot metrics;
-};
 
-struct TrialResult {
-  ShardStats total;  // shards merged in index order
+  void merge(const TrialResult& shard) {
+    metrics.merge(shard.metrics);
+    lat_down.merge(shard.lat_down);
+    lat_up.merge(shard.lat_up);
+  }
   [[nodiscard]] double worst_loss() const {
-    const auto loss = [](std::uint64_t sent, std::uint64_t recv) {
+    const auto loss = [this](const char* gen, const char* sink) {
+      const std::uint64_t sent =
+          sum_where(metrics, "gen.emitted.packets", {{"gen", gen}});
+      const std::uint64_t recv =
+          sum_where(metrics, "sink.received.packets", {{"sink", sink}});
       return sent > 0 ? 1.0 - double(recv) / double(sent) : 0.0;
     };
-    return std::max(loss(total.sent_down, total.recv_down),
-                    loss(total.sent_up, total.recv_up));
+    // ModuleTestbed registers its edge sink ("sink") before its optical
+    // sink ("sink1"); downstream traffic lands on the optical side.
+    return std::max(loss("down", "sink1"), loss("up", "sink"));
   }
-  [[nodiscard]] bool ledger_closes() const {
-    // Zero black holes: every emitted packet is delivered or accounted to a
-    // named drop point (injector, engine ingress FIFO, app verdict).
-    // Injector duplicates mint extra deliverable packets, so they join the
-    // sent side of the balance.
-    return total.sent_down + total.sent_up + total.duplicated ==
-           total.recv_down + total.recv_up + total.injector_drops +
-               total.queue_drops + total.app_drops;
+  [[nodiscard]] std::uint64_t lwaftr_drops(std::size_t stat) const {
+    return sum_where(metrics, "app.counter.packets",
+                     {{"bank", "lwaftr_stats"},
+                      {"index", std::to_string(stat)}});
   }
 };
 
@@ -108,7 +123,13 @@ struct TrialResult {
 /// later — the same pacing discipline as fabric::TrafficGen, with the
 /// subscriber chosen by Zipf popularity.
 struct Emitter {
-  sim::Simulation* sim = nullptr;
+  /// Counts into the `gen.emitted` series fabric::TrafficGen writes, so the
+  /// fabric ledger reads this emitter unchanged.
+  Emitter(sim::Simulation& simulation, const char* direction)
+      : sim(&simulation),
+        emitted(simulation.metrics(), "gen.emitted", {{"gen", direction}}) {}
+
+  sim::Simulation* sim;
   sim::PacketHandler* out = nullptr;
   const std::vector<net::Bytes>* templates = nullptr;
   const std::vector<std::uint16_t>* psids = nullptr;
@@ -117,7 +138,7 @@ struct Emitter {
   std::size_t port_offset = 0;  // where the patched port lives in the frame
   sim::TimePs gap = 0;
   sim::TimePs stop_at = 0;
-  std::uint64_t sent = 0;
+  sim::TrafficMeter emitted;
   /// churn only: one emit in 16 uses a port from the excluded system range,
   /// provoking the unmappable/anti-spoof drop paths (port-set exhaustion).
   bool inject_out_of_set = false;
@@ -139,13 +160,13 @@ struct Emitter {
     net::write_be16(packet->data(), port_offset, port);
     packet->set_id(sim->next_packet_id());
     packet->set_created_time_ps(sim->now());
-    ++sent;
+    emitted.record(packet->size());
     out->handle_packet(std::move(packet));
     sim->schedule_in(gap, [this] { emit(); });
   }
 };
 
-ShardStats run_shard(const TrialSpec& spec, std::size_t shard) {
+TrialResult run_shard(const TrialSpec& spec, std::size_t shard) {
   const std::size_t per_shard = spec.subscribers / kShards;
   const std::size_t base = shard * per_shard;
 
@@ -216,8 +237,7 @@ ShardStats run_shard(const TrialSpec& spec, std::size_t shard) {
   const sim::DataRate rate = sim::DataRate::gbps(spec.rate_gbps);
   sim::ZipfDistribution zipf_down(per_shard, 1.0), zipf_up(per_shard, 1.0);
 
-  Emitter down_emit, up_emit;
-  down_emit.sim = &tb.sim();
+  Emitter down_emit(tb.sim(), "down"), up_emit(tb.sim(), "up");
   down_emit.templates = &down;
   down_emit.psids = &psids;
   down_emit.zipf = &zipf_down;
@@ -233,7 +253,6 @@ ShardStats run_shard(const TrialSpec& spec, std::size_t shard) {
                       ? static_cast<sim::PacketHandler*>(tb.edge_faults())
                       : &edge_in;
 
-  up_emit.sim = &tb.sim();
   up_emit.templates = &up;
   up_emit.psids = &psids;
   up_emit.zipf = &zipf_up;
@@ -274,50 +293,18 @@ ShardStats run_shard(const TrialSpec& spec, std::size_t shard) {
   }
 
   const fabric::TestbedResult result = tb.run();
-
-  ShardStats out;
-  out.sent_down = down_emit.sent;
-  out.sent_up = up_emit.sent;
-  out.recv_down = tb.optical_sink().received().packets();
-  out.recv_up = tb.edge_sink().received().packets();
-  out.queue_drops = result.ppe_queue_drops;
-  out.app_drops = result.app_drops;
-  out.injector_drops = result.edge_fault_tally.total_dropped();
-  out.duplicated = result.edge_fault_tally.duplicated;
-  out.pool_heap_fallbacks = tb.sim().packet_pool().stats().heap_fallbacks;
-  out.unmappable = aftr->stat_packets(apps::LwAftr::stat_unmappable_v4);
-  out.antispoof = aftr->stat_packets(apps::LwAftr::stat_antispoof_dropped);
-  out.lat_down = tb.optical_sink().latency();
-  out.lat_up = tb.edge_sink().latency();
-  if (spec.collect_metrics) {
-    out.metrics = result.metrics.with_label("shard", std::to_string(shard));
-  }
-  return out;
+  return {result.metrics.with_label("shard", std::to_string(shard)),
+          tb.optical_sink().latency(), tb.edge_sink().latency()};
 }
 
 TrialResult run_trial(const TrialSpec& spec) {
-  std::vector<ShardStats> shards(kShards);
+  std::vector<TrialResult> shards(kShards);
   sim::run_lockstep_rounds(
       kShards, spec.workers,
       [&](std::size_t shard) { shards[shard] = run_shard(spec, shard); },
       [] { return false; });
   TrialResult result;
-  for (const ShardStats& s : shards) {  // fixed order: bit-identical merge
-    result.total.sent_down += s.sent_down;
-    result.total.recv_down += s.recv_down;
-    result.total.sent_up += s.sent_up;
-    result.total.recv_up += s.recv_up;
-    result.total.injector_drops += s.injector_drops;
-    result.total.queue_drops += s.queue_drops;
-    result.total.app_drops += s.app_drops;
-    result.total.duplicated += s.duplicated;
-    result.total.pool_heap_fallbacks += s.pool_heap_fallbacks;
-    result.total.unmappable += s.unmappable;
-    result.total.antispoof += s.antispoof;
-    result.total.lat_down.merge(s.lat_down);
-    result.total.lat_up.merge(s.lat_up);
-    result.total.metrics.merge(s.metrics);
-  }
+  for (const TrialResult& shard : shards) result.merge(shard);  // fixed order
   return result;
 }
 
@@ -351,12 +338,17 @@ double search_throughput(TrialSpec spec, const char* label) {
 int main(int argc, char** argv) {
   using namespace flexsfp;
 
+  // Subscribers live in 198.18.0.0/15: 2^17 addresses x 64 PSIDs each.
+  constexpr const char* usage = "[subscribers] [trial_us] [workers]";
+  bench::max_args(argc, argv, 3, usage);
   TrialSpec spec;
-  if (argc > 1) spec.subscribers = std::strtoull(argv[1], nullptr, 10);
-  sim::TimePs trial_us = 50;
-  if (argc > 2) trial_us = std::strtoll(argv[2], nullptr, 10);
-  spec.duration = trial_us * 1'000'000;
-  if (argc > 3) spec.workers = unsigned(std::strtoul(argv[3], nullptr, 10));
+  spec.subscribers = bench::positional_arg<std::size_t>(
+      argc, argv, 1, spec.subscribers, 1, std::size_t{1} << 23, usage);
+  spec.duration = bench::positional_arg<sim::TimePs>(
+                      argc, argv, 2, 50, 1, 1'000'000'000, usage) *
+                  1'000'000;
+  spec.workers = bench::positional_arg<unsigned>(argc, argv, 3, spec.workers,
+                                                 1, 1024, usage);
   if (spec.subscribers < kShards * kPsidsPerAddr) {
     spec.subscribers = kShards * kPsidsPerAddr;
   }
@@ -394,45 +386,49 @@ int main(int argc, char** argv) {
   // --- verification trial at the found rate: latency + PDV ----------------
   TrialSpec verify = spec;
   verify.rate_gbps = r64 > 0 ? r64 : 1.0;
-  verify.collect_metrics = true;
   const TrialResult vr = run_trial(verify);
   // percentile() reports the containing bucket's representative value, which
   // can undershoot the exact min by a sub-bucket amount — clamp PDV at 0.
   const double pdv_down = std::max(
-      0.0, sim::to_nanos(vr.total.lat_down.percentile(99.9) -
-                         vr.total.lat_down.min()));
+      0.0, sim::to_nanos(vr.lat_down.percentile(99.9) - vr.lat_down.min()));
   const double pdv_up = std::max(
-      0.0,
-      sim::to_nanos(vr.total.lat_up.percentile(99.9) - vr.total.lat_up.min()));
+      0.0, sim::to_nanos(vr.lat_up.percentile(99.9) - vr.lat_up.min()));
   std::printf(
       "at %.3f Gb/s: down p50 %.1f ns p99 %.1f ns PDV %.1f ns | up p50 %.1f "
       "ns p99 %.1f ns PDV %.1f ns\n",
-      verify.rate_gbps, sim::to_nanos(vr.total.lat_down.percentile(50)),
-      sim::to_nanos(vr.total.lat_down.percentile(99)), pdv_down,
-      sim::to_nanos(vr.total.lat_up.percentile(50)),
-      sim::to_nanos(vr.total.lat_up.percentile(99)), pdv_up);
+      verify.rate_gbps, sim::to_nanos(vr.lat_down.percentile(50)),
+      sim::to_nanos(vr.lat_down.percentile(99)), pdv_down,
+      sim::to_nanos(vr.lat_up.percentile(50)),
+      sim::to_nanos(vr.lat_up.percentile(99)), pdv_up);
 
   // --- churn trial: faults + lease expire/re-add + out-of-set ports -------
   TrialSpec churn = spec;
   churn.rate_gbps = (r64 > 0 ? r64 : 1.0) * 0.8;
   churn.churn = true;
   const TrialResult cr = run_trial(churn);
-  const bool ledger_ok = cr.ledger_closes();
+  // Zero black holes: every emitted (or fault-duplicated) packet is
+  // delivered or counted at a named drop point — the fabric's own ledger,
+  // read from the same merged snapshot.
+  const fabric::FabricLedger ledger =
+      fabric::FabricLedger::from_snapshot(cr.metrics);
+  const bool ledger_ok = ledger.balanced();
+  const std::uint64_t unmappable =
+      cr.lwaftr_drops(apps::LwAftr::stat_unmappable_v4);
+  const std::uint64_t pool_heap_fallbacks =
+      cr.metrics.sum("pool.heap_fallbacks");
   std::printf(
-      "churn @ %.3f Gb/s: sent %llu+%llu dup %llu, recv %llu+%llu, injector "
-      "%llu, queue %llu, app %llu (unmappable %llu, antispoof %llu) -> "
-      "ledger %s; pool heap fallbacks %llu\n",
-      churn.rate_gbps, (unsigned long long)cr.total.sent_down,
-      (unsigned long long)cr.total.sent_up,
-      (unsigned long long)cr.total.duplicated,
-      (unsigned long long)cr.total.recv_down,
-      (unsigned long long)cr.total.recv_up,
-      (unsigned long long)cr.total.injector_drops,
-      (unsigned long long)cr.total.queue_drops,
-      (unsigned long long)cr.total.app_drops,
-      (unsigned long long)cr.total.unmappable,
-      (unsigned long long)cr.total.antispoof, ledger_ok ? "CLOSED" : "LEAKED",
-      (unsigned long long)cr.total.pool_heap_fallbacks);
+      "churn @ %.3f Gb/s: sent %llu dup %llu, delivered %llu, faults %llu, "
+      "queue %llu, app %llu (unmappable %llu, antispoof %llu) -> ledger %s; "
+      "pool heap fallbacks %llu\n",
+      churn.rate_gbps, (unsigned long long)ledger.sent,
+      (unsigned long long)ledger.duplicated,
+      (unsigned long long)ledger.delivered,
+      (unsigned long long)ledger.fault_dropped,
+      (unsigned long long)ledger.queue_drops,
+      (unsigned long long)ledger.app_drops, (unsigned long long)unmappable,
+      (unsigned long long)cr.lwaftr_drops(apps::LwAftr::stat_antispoof_dropped),
+      ledger_ok ? "CLOSED" : "LEAKED",
+      (unsigned long long)pool_heap_fallbacks);
 
   figures.emplace_back("throughput_gbps_64", r64);
   figures.emplace_back("throughput_gbps_1518", r1518);
@@ -440,23 +436,22 @@ int main(int argc, char** argv) {
   figures.emplace_back("ledger_ok", ledger_ok ? 1.0 : 0.0);
   figures.emplace_back("verify_loss_64", vr.worst_loss());
   figures.emplace_back("latency_p50_ns_down",
-                       sim::to_nanos(vr.total.lat_down.percentile(50)));
+                       sim::to_nanos(vr.lat_down.percentile(50)));
   figures.emplace_back("latency_p99_ns_down",
-                       sim::to_nanos(vr.total.lat_down.percentile(99)));
+                       sim::to_nanos(vr.lat_down.percentile(99)));
   figures.emplace_back("pdv_ns_down", pdv_down);
   figures.emplace_back("latency_p50_ns_up",
-                       sim::to_nanos(vr.total.lat_up.percentile(50)));
+                       sim::to_nanos(vr.lat_up.percentile(50)));
   figures.emplace_back("latency_p99_ns_up",
-                       sim::to_nanos(vr.total.lat_up.percentile(99)));
+                       sim::to_nanos(vr.lat_up.percentile(99)));
   figures.emplace_back("pdv_ns_up", pdv_up);
-  figures.emplace_back("churn_unmappable_drops", double(cr.total.unmappable));
-  figures.emplace_back("pool_heap_fallbacks",
-                       double(cr.total.pool_heap_fallbacks));
+  figures.emplace_back("churn_unmappable_drops", double(unmappable));
+  figures.emplace_back("pool_heap_fallbacks", double(pool_heap_fallbacks));
   figures.emplace_back("subscribers", double(spec.subscribers));
   figures.emplace_back("shards", double(kShards));
   figures.emplace_back("search_steps", double(kSearchSteps));
   figures.emplace_back("loss_threshold", kLossThreshold);
-  bench::write_bench_json("rfc8219", vr.total.metrics, figures);
+  bench::write_bench_json("rfc8219", vr.metrics, figures);
   bench::note(
       "binary-search throughput per RFC 2544 §26 with RFC 8219's "
       "encapsulation-aware frame sizes; PDV = p99.9 - min per RFC 5481. The "

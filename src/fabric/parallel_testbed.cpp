@@ -92,7 +92,7 @@ ParallelRunResult ParallelTestbed::run_sequential() { return run_with(1); }
 
 ParallelRunResult ParallelTestbed::run_with(unsigned workers) {
   ParallelRunResult out;
-  out.workers_used = sim::resolve_workers(config_.shards, workers);
+  out.workers_used = sim::resolve_threads(config_.shards, workers);
   out.shards.resize(config_.shards);
 
   // Apps are built up front on the caller thread: the factory may touch

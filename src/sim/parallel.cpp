@@ -11,16 +11,11 @@
 
 namespace flexsfp::sim {
 
-unsigned resolve_workers(std::size_t jobs, unsigned requested) {
+unsigned resolve_threads(std::size_t jobs, unsigned requested) {
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   const unsigned want = requested == 0 ? hardware : requested;
   return static_cast<unsigned>(
-      std::min<std::size_t>(jobs == 0 ? 1 : jobs, want));
-}
-
-unsigned resolve_threads(std::size_t jobs, unsigned requested) {
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-  return std::min(resolve_workers(jobs, requested), hardware);
+      std::min<std::size_t>({jobs == 0 ? 1 : jobs, want, hardware}));
 }
 
 void run_lockstep_rounds(std::size_t jobs, unsigned workers,

@@ -35,18 +35,12 @@ void run_lockstep_rounds(std::size_t jobs, unsigned workers,
                          const std::function<void(std::size_t)>& advance,
                          const std::function<bool()>& exchange);
 
-/// Worker count a request resolves to for *capacity* reasoning: 0 means
-/// "one per job, capped by the hardware"; anything else is capped by the
-/// job count (display/planning semantics — see resolve_threads for what is
-/// actually spawned).
-[[nodiscard]] unsigned resolve_workers(std::size_t jobs, unsigned requested);
-
-/// Worker threads actually spawned for a request: resolve_workers()
-/// additionally capped at the hardware thread count. Explicitly requesting
-/// more workers than the machine has used to oversubscribe — on a small
-/// host the context-switch thrash made workers=4 *slower* than sequential —
-/// and since shard results never depend on the thread count, capping is
-/// pure win.
+/// Worker threads actually spawned for a request: 0 means "one per job";
+/// the result is capped by the job count and by the hardware thread count.
+/// Explicitly requesting more workers than the machine has used to
+/// oversubscribe — on a small host the context-switch thrash made workers=4
+/// *slower* than sequential — and since shard results never depend on the
+/// thread count, capping is pure win. Testbeds report this as workers_used.
 [[nodiscard]] unsigned resolve_threads(std::size_t jobs, unsigned requested);
 
 }  // namespace flexsfp::sim

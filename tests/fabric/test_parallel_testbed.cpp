@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "apps/nat.hpp"
 #include "sim/random.hpp"
@@ -175,6 +176,21 @@ TEST(ParallelTestbed, ShardsUseHashedSeedStreamsAndDisjointFlowSpace) {
   EXPECT_EQ(s1.src_base.value(), s0.src_base.value() + (1u << 16));
   EXPECT_EQ(s1.dst_base.value(), s0.dst_base.value() + (1u << 16));
   EXPECT_NE(s0.src_mac, s1.src_mac);
+}
+
+TEST(ParallelTestbed, WorkersUsedNeverOversubscribesTheHardware) {
+  // More shards and more requested workers than the host has threads: the
+  // run reports the threads it actually spawned, not the request.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  auto config = two_way_config(5, hardware + 1);
+  config.prototype.edge_traffic->duration = 5_us;
+  config.prototype.optical_traffic->duration = 5_us;
+  config.workers = hardware + 2;
+  ParallelTestbed bed(config, nat_factory());
+  const auto run = bed.run();
+  EXPECT_LE(run.workers_used, hardware);
+  EXPECT_GE(run.workers_used, 1u);
+  EXPECT_EQ(bed.run_sequential().workers_used, 1u);
 }
 
 TEST(ParallelTestbed, RejectsDegenerateConfigs) {

@@ -70,8 +70,6 @@ TEST(ResolveThreads, NeverExceedsHardwareOrJobCount) {
   EXPECT_LE(resolve_threads(64, 4 * hardware), hardware);
   EXPECT_EQ(resolve_threads(2, 16), std::min(2u, hardware));
   EXPECT_GE(resolve_threads(8, 1), 1u);
-  // Planning semantics are unchanged: requests cap at the job count only.
-  EXPECT_EQ(resolve_workers(2, 16), 2u);
 }
 
 TEST(RunLockstepRounds, RunsEveryJobOncePerRoundUntilExchangeStops) {

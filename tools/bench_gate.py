@@ -5,21 +5,21 @@ Compares the figures of freshly emitted BENCH_<name>.json files against the
 committed baselines in bench/baselines/ and fails (exit 1) when a gated
 figure regresses.
 
-Two gate classes, because two kinds of figures travel in the same file:
+Every figure in a BENCH_*.json is decided by the simulation, so it is a
+deterministic function of the code and the bench's arguments: two runs emit
+byte-identical files. Host cost (wall clock, events/s) is not in these files;
+it is measured by `python3 perfbench/run.py`.
 
-* strict   — machine-independent figures (allocations/packet, loss rate,
-             delivered Gb/s at a fixed offered load, determinism flags).
-             These are properties of the code, not the host: any regression
-             beyond --tolerance (default 15%) fails everywhere, including CI.
-* lenient  — wall-clock figures (events/sec). These move with the host, so
-             the gate only trips on a collapse (default: fresh < 50% of
-             baseline). Override with BENCH_GATE_RATE_TOLERANCE=<0..1> or
-             disable entirely with BENCH_GATE_SKIP_RATE=1 when comparing
-             across different machines.
+Three gate classes:
 
-Context figures (e.g. `shards`) must match exactly — a mismatch means the
-fresh run used different parameters than the baseline and every other
-comparison would be meaningless, so that is an error, not a regression.
+* strict   — simulated results (allocations/packet, loss rate, delivered
+             Gb/s at a fixed offered load, ledger and determinism flags).
+             Any regression beyond --tolerance (default 15%) fails.
+* context  — run parameters (e.g. `shards`). They must match exactly — a
+             mismatch means the fresh run used different arguments than the
+             baseline and every other comparison would be meaningless, so
+             that is an error, not a regression.
+* info     — printed, never gated (latency percentiles, event counts).
 
 Usage:
   tools/bench_gate.py [--baselines bench/baselines] [--fresh .]
@@ -64,18 +64,13 @@ POLICIES = [
     ("latency_p*", None, "info"),  # bucketed percentiles: shape, not a gate
     ("pdv_ns_*", None, "info"),
     ("churn_unmappable_drops", None, "info"),
-    ("events_per_sec*", "lower_is_worse", "lenient"),
-    # Wall-clock ratio, but one the refactor is accountable for: the windowed
-    # engine must not be slower than sequential beyond a collapse threshold.
-    ("speedup_w4", "lower_is_worse", "lenient"),
-    ("speedup_*", None, "info"),  # derived from events/sec: machine-bound
-    ("seed_events_per_sec", None, "info"),
-    ("wall_seconds*", None, "info"),
     ("events_total", None, "info"),  # informational: legitimately moves
 ]
 
-# Headroom added on top of the relative tolerance so figures sitting near
-# zero (allocs/pkt 0.03, loss 0.0) don't trip the gate on noise.
+# Headroom added on top of the relative tolerance for allocations/packet:
+# a figure near zero (0.03) moves by a whole allocation on small code
+# changes. Loss, ledger and determinism figures get no such headroom, so a
+# zero-loss baseline fails on any loss beyond --tolerance of zero.
 ABS_EPSILON = 0.02
 
 
@@ -95,8 +90,7 @@ def load_figures(path: str):
     return {k: v for k, v in figures.items() if isinstance(v, (int, float))}
 
 
-def gate_bench(name: str, baseline_path: str, fresh_path: str,
-               strict_tol: float, rate_tol: float, skip_rate: bool):
+def gate_bench(name: str, baseline_path: str, fresh_path: str, tol: float):
     """Returns a list of failure strings for one bench."""
     failures = []
     baseline = load_figures(baseline_path)
@@ -112,7 +106,10 @@ def gate_bench(name: str, baseline_path: str, fresh_path: str,
                             f"fresh run")
             continue
         now = fresh[figure]
-        delta = (now / base - 1.0) * 100.0 if base != 0 else float("inf")
+        if now == base:
+            delta = 0.0
+        else:
+            delta = (now / base - 1.0) * 100.0 if base != 0 else float("inf")
         line = f"  {figure:30s} base={base:<14.6g} fresh={now:<14.6g}"
         if kind == "info" or direction is None:
             print(line + " (info)")
@@ -126,14 +123,12 @@ def gate_bench(name: str, baseline_path: str, fresh_path: str,
             else:
                 print(line + " (context ok)")
             continue
-        if kind == "lenient" and skip_rate:
-            print(line + " (rate gate skipped)")
-            continue
-        tol = rate_tol if kind == "lenient" else strict_tol
+        epsilon = (ABS_EPSILON if fnmatch.fnmatch(figure, "allocs_per_packet*")
+                   else 0.0)
         if direction == "higher_is_worse":
-            bad = now > base * (1.0 + tol) + ABS_EPSILON
+            bad = now > base * (1.0 + tol) + epsilon
         else:  # lower_is_worse
-            bad = now < base * (1.0 - tol) - ABS_EPSILON
+            bad = now < base * (1.0 - tol) - epsilon
         verdict = "REGRESSED" if bad else "ok"
         print(f"{line} {delta:+8.1f}%  [{kind} ±{tol:.0%}] {verdict}")
         if bad:
@@ -159,9 +154,6 @@ def main() -> int:
                         help="bench names to gate (default: every baseline)")
     args = parser.parse_args()
 
-    rate_tol = float(os.environ.get("BENCH_GATE_RATE_TOLERANCE", "0.5"))
-    skip_rate = os.environ.get("BENCH_GATE_SKIP_RATE", "") not in ("", "0")
-
     if args.names:
         names = args.names
     else:
@@ -183,7 +175,7 @@ def main() -> int:
             continue
         try:
             failures += gate_bench(name, baseline_path, fresh_path,
-                                   args.tolerance, rate_tol, skip_rate)
+                                   args.tolerance)
         except (ValueError, json.JSONDecodeError) as err:
             failures.append(f"{name}: {err}")
 
