@@ -11,6 +11,7 @@
 #include "net/checksum.hpp"
 #include "net/parser.hpp"
 #include "ppe/tables.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -138,6 +139,34 @@ void BM_GreEncapDecap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreEncapDecap);
+
+// Event-queue hold model: `depth` events pending, each step pops the
+// earliest and pushes one at now + U(0, 2 * depth * 67 ns), so the queue
+// stays `depth` deep and events sit about 67 ns apart (one 64 B frame time
+// at 10 Gb/s, rounded). One iteration is one pop + one push.
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto depth = static_cast<std::uint64_t>(state.range(0));
+  sim::Rng rng(1);
+  std::vector<sim::TimePs> deltas(std::size_t{1} << 16);
+  for (auto& delta : deltas) {
+    delta = sim::TimePs(rng.uniform(0, 2 * depth * 67'000));
+  }
+  sim::EventQueue queue;
+  std::uint64_t fired = 0;
+  std::size_t next = 0;
+  for (std::uint64_t i = 0; i < depth; ++i) {
+    queue.push(deltas[next++], [&fired]() { ++fired; });
+  }
+  for (auto _ : state) {
+    auto popped = queue.pop();
+    const sim::TimePs now = popped.at();
+    popped.invoke();
+    queue.push(now + deltas[next++ & (deltas.size() - 1)],
+               [&fired]() { ++fired; });
+  }
+  benchmark::DoNotOptimize(fired);
+}
+BENCHMARK(BM_EventQueueHold)->Arg(8)->Arg(128)->Arg(1024)->Arg(8192);
 
 }  // namespace
 

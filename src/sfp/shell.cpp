@@ -54,10 +54,13 @@ ArchitectureShell::ArchitectureShell(sim::Simulation& sim, ppe::PpeAppPtr app,
                                           config.datapath,
                                           config.ppe_queue_capacity);
   for (std::size_t port = 0; port < 2; ++port) {
+    // The arbiter folds the egress MAC/PCS latency into its departure
+    // event and hands the packet straight to the port's egress handler.
     arbiters_[port] = std::make_unique<EgressArbiter>(
-        sim, config.line_rate, config.arbiter_queue_capacity);
+        sim, config.line_rate, config.arbiter_queue_capacity,
+        config.interface_latency_ps);
     arbiters_[port]->set_output([this, port](net::PacketPtr packet) {
-      deliver_egress(static_cast<int>(port), std::move(packet));
+      if (egress_handlers_[port]) egress_handlers_[port](std::move(packet));
     });
   }
 
@@ -180,21 +183,6 @@ void ArchitectureShell::punt_to_control(net::PacketPtr packet) {
                          sim_.now());
   }
   if (control_rx_) control_rx_(std::move(packet));
-}
-
-void ArchitectureShell::deliver_egress(int port, net::PacketPtr packet) {
-  if (!egress_handlers_[static_cast<std::size_t>(port)]) return;
-  // Egress MAC/PCS latency. The handler is re-resolved through `this` at
-  // fire time (guarded by the lifetime token) — capturing a reference to the
-  // member would dangle if the shell were torn down first.
-  sim_.schedule_in(config_.interface_latency_ps,
-                   [this, port, token = lifetime_.token(),
-                    packet = std::move(packet)]() mutable {
-                     if (!token.alive()) return;
-                     auto& handler =
-                         egress_handlers_[static_cast<std::size_t>(port)];
-                     if (handler) handler(std::move(packet));
-                   });
 }
 
 hw::ResourceUsage ArchitectureShell::shell_overhead_resources() const {

@@ -127,9 +127,6 @@ class ArchitectureShell {
   [[nodiscard]] std::uint64_t egress_hints_honored() const {
     return sim_.metrics().value(egress_hints_id_);
   }
-  [[nodiscard]] const EgressArbiter& arbiter(int port) const {
-    return *arbiters_.at(static_cast<std::size_t>(port));
-  }
 
  private:
   [[nodiscard]] bool terminates_locally(const net::Packet& packet) const;
@@ -137,7 +134,6 @@ class ArchitectureShell {
   /// valid one (counted), otherwise `fallback` (the opposite-side rule).
   [[nodiscard]] int resolve_egress(const net::Packet& packet, int fallback);
   void punt_to_control(net::PacketPtr packet);
-  void deliver_egress(int port, net::PacketPtr packet);
 
   sim::Simulation& sim_;
   ShellConfig config_;

@@ -1,4 +1,4 @@
-// Allocation-free discrete-event queue: a bucketed calendar structure over
+// Allocation-free discrete-event queue: a binary min-heap over
 // slab-allocated event nodes with inline closure storage.
 //
 // The seed implementation was std::priority_queue<Entry> with a
@@ -8,11 +8,12 @@
 // carved from a slab and recycled through a free list; callables up to
 // kInlineClosure bytes (every closure in this codebase) are constructed
 // directly into the node, larger ones fall back to one boxed allocation and
-// are counted so the regression gate can see them. Ordering is a calendar:
-// near-future events hash into time buckets by `at >> width_shift`, the
-// bucket being drained is a small binary min-heap of 24-byte PODs, and
-// far-future events wait in an overflow list that is redistributed when the
-// window advances (doubling the bucket width when the horizon is sparse).
+// are counted so the regression gate can see them. The heap itself moves
+// only 24-byte {at, seq, node*} refs.
+//
+// Why a heap and not a calendar (DESIGN.md §9): it is faster end to end on
+// the simulator's workloads, allocates nothing once warm, and its cost
+// stays O(log n) however far apart pending events are.
 //
 // The tie-break contract is exactly the seed's: events execute in strict
 // (time, insertion-order) sequence. (at, seq) is a total order — seq is
@@ -46,13 +47,11 @@ class EventQueue {
     std::uint64_t pushed = 0;
     std::uint64_t inline_closures = 0;
     std::uint64_t boxed_closures = 0;
-    std::uint64_t overflow_spills = 0;   // events parked beyond the window
-    std::uint64_t window_rebuilds = 0;   // overflow redistributions
     std::uint64_t slabs_allocated = 0;
     std::uint64_t pending_high_watermark = 0;
   };
 
-  EventQueue();
+  EventQueue() = default;
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -83,12 +82,11 @@ class EventQueue {
     insert(Ref{at, next_seq_++, node});
   }
 
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Earliest pending (time, seq) event's time. Precondition: !empty().
-  /// Non-const: locating the minimum may advance the calendar window.
-  [[nodiscard]] TimePs min_time();
+  [[nodiscard]] TimePs min_time() const { return heap_.front().at; }
 
   /// One popped event, holding its node until destruction. invoke() runs
   /// and destroys the callable; the destructor returns the node to the
@@ -121,9 +119,6 @@ class EventQueue {
   [[nodiscard]] Popped pop();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Current bucket width in picoseconds (2^width_shift); observable so
-  /// tests can assert the sparse-horizon widening actually engages.
-  [[nodiscard]] TimePs bucket_width() const { return TimePs{1} << width_shift_; }
 
  private:
   struct Node {
@@ -132,62 +127,27 @@ class EventQueue {
     Node* next_free = nullptr;
     alignas(std::max_align_t) unsigned char storage[kInlineClosure];
   };
-  /// What the ordering structure moves around: 24 bytes, trivially copyable.
+  __extension__ using Key = unsigned __int128;
+  /// What the heap moves around: 24 bytes, trivially copyable.
   struct Ref {
     TimePs at;
     std::uint64_t seq;
     Node* node;
-  };
-  struct Later {
-    bool operator()(const Ref& a, const Ref& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    /// (at, seq) as one number (times are never negative): a single
+    /// compare the sifts turn into flag arithmetic instead of a branch.
+    [[nodiscard]] Key key() const {
+      return (Key{static_cast<std::uint64_t>(at)} << 64) | seq;
     }
   };
 
-  static constexpr std::size_t kBuckets = 256;       // ring size
-  static constexpr unsigned kInitialWidthShift = 14;  // 16.4 ns buckets
   static constexpr std::size_t kSlabNodes = 512;
-
-  [[nodiscard]] std::uint64_t bucket_of(TimePs at) const {
-    return static_cast<std::uint64_t>(at) >> width_shift_;
-  }
 
   Node* acquire_node();
   void release_node(Node* node);
   void insert(const Ref& ref);
-  /// Make current_ hold the earliest pending bucket. Precondition: size_ > 0.
-  void ensure_current();
-  /// Mark/unmark ring slot `bucket % kBuckets` in the occupancy bitmap.
-  void mark_slot(std::uint64_t bucket) {
-    occupied_[(bucket % kBuckets) / 64] |=
-        std::uint64_t{1} << ((bucket % kBuckets) % 64);
-  }
-  void clear_slot(std::uint64_t bucket) {
-    occupied_[(bucket % kBuckets) / 64] &=
-        ~(std::uint64_t{1} << ((bucket % kBuckets) % 64));
-  }
-  /// Distance (1..kBuckets-1) from cur_bucket_ to the next occupied ring
-  /// slot. Precondition: ring_count_ > 0.
-  [[nodiscard]] std::size_t next_occupied_distance() const;
-  void redistribute_overflow();
-  void migrate_overflow();
-  void destroy_pending(std::vector<Ref>& refs);
+  void sift_up(std::size_t hole, const Ref& ref);
 
-  static constexpr std::uint64_t no_overflow_min = ~std::uint64_t{0};
-
-  std::vector<Ref> current_;  // min-heap (Later) of the bucket being drained
-  std::vector<std::vector<Ref>> ring_;  // future buckets, unsorted
-  /// One bit per ring slot (set ⇔ slot non-empty), so advancing the window
-  /// jumps straight to the next occupied slot instead of stepping through
-  /// the empty ones — sparse schedules (events many buckets apart) would
-  /// otherwise spend most of the drain loop scanning vacant slots.
-  std::uint64_t occupied_[kBuckets / 64] = {};
-  std::vector<Ref> overflow_;           // beyond the ring window, unsorted
-  std::uint64_t overflow_min_bucket_ = no_overflow_min;
-  std::uint64_t cur_bucket_ = 0;        // absolute index of current_'s bucket
-  unsigned width_shift_ = kInitialWidthShift;
-  std::size_t ring_count_ = 0;
-  std::size_t size_ = 0;
+  std::vector<Ref> heap_;  // binary min-heap on Ref::key()
   std::uint64_t next_seq_ = 0;
   Node* free_nodes_ = nullptr;
   std::vector<std::unique_ptr<Node[]>> slabs_;

@@ -41,31 +41,16 @@ void Link::handle_packet(net::PacketPtr packet) {
 }
 
 bool BoundedQueue::push(net::PacketPtr packet) {
-  if (count_ >= capacity_) {
+  if (ring_.size() >= capacity_) {
     ++drops_;
     return false;
   }
-  if (count_ == slots_.size()) grow();
-  slots_[(head_ + count_) & (slots_.size() - 1)] = std::move(packet);
-  ++count_;
+  ring_.push_back(std::move(packet));
   return true;
 }
 
 net::PacketPtr BoundedQueue::pop() {
-  if (count_ == 0) return nullptr;
-  auto packet = std::move(slots_[head_]);
-  head_ = (head_ + 1) & (slots_.size() - 1);
-  --count_;
-  return packet;
-}
-
-void BoundedQueue::grow() {
-  std::vector<net::PacketPtr> bigger(std::max<std::size_t>(slots_.size() * 2, 16));
-  for (std::size_t i = 0; i < count_; ++i) {
-    bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
-  }
-  slots_.swap(bigger);
-  head_ = 0;
+  return ring_.empty() ? nullptr : ring_.pop_front();
 }
 
 QueuedServer::QueuedServer(Simulation& sim, std::size_t queue_capacity,

@@ -1,7 +1,9 @@
 // Point-to-point link and queued-server building blocks.
 #pragma once
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/lifetime.hpp"
@@ -55,14 +57,48 @@ class Link final : public PacketHandler {
   Lifetime lifetime_;
 };
 
-/// Drop-tail FIFO with a packet-count bound, as found in front of every
-/// store-and-forward element. Pure container: the owner drives dequeue.
-///
-/// Backed by a power-of-two ring that doubles on demand and never shrinks:
+/// FIFO over a power-of-two ring that doubles on demand and never shrinks:
 /// once the ring reaches the queue's working depth, push/pop cycle through
 /// preallocated slots with no allocator traffic (std::deque re-allocates a
 /// chunk every time the queue drains across a chunk boundary, which showed
 /// up as steady-state churn in the hot-path allocation audit).
+template <class T>
+class Ring {
+ public:
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  /// The i-th oldest element. Precondition: i < size().
+  [[nodiscard]] T& operator[](std::size_t i) {
+    return slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+  void push_back(T value) {
+    if (count_ == slots_.size()) grow();
+    (*this)[count_] = std::move(value);
+    ++count_;
+  }
+  /// Remove and return the oldest element. Precondition: !empty().
+  T pop_front() {
+    T value = std::move(slots_[head_]);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --count_;
+    return value;
+  }
+
+ private:
+  void grow() {
+    std::vector<T> bigger(std::max<std::size_t>(slots_.size() * 2, 16));
+    for (std::size_t i = 0; i < count_; ++i) bigger[i] = std::move((*this)[i]);
+    slots_.swap(bigger);
+    head_ = 0;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+};
+
+/// Drop-tail FIFO with a packet-count bound, as found in front of every
+/// store-and-forward element. Pure container: the owner drives dequeue.
 class BoundedQueue {
  public:
   explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
@@ -70,8 +106,8 @@ class BoundedQueue {
   /// False (and counted as a drop) when full.
   bool push(net::PacketPtr packet);
   [[nodiscard]] net::PacketPtr pop();
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] bool empty() const { return ring_.empty(); }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
   // Depth high-watermark bookkeeping lives with the owner's registry gauge
@@ -79,12 +115,8 @@ class BoundedQueue {
   // counter here could silently disagree with it.
 
  private:
-  void grow();
-
   std::size_t capacity_;
-  std::vector<net::PacketPtr> slots_;  // power-of-two ring, grown on demand
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  Ring<net::PacketPtr> ring_;
   std::uint64_t drops_ = 0;
 };
 
@@ -124,10 +156,10 @@ class QueuedServer : public PacketHandler {
   [[nodiscard]] Simulation& sim() { return sim_; }
   [[nodiscard]] const Simulation& sim() const { return sim_; }
   /// Flight-recorder stage id, for subclasses recording their own hops
-  /// (verdicts, egress) under the same stage name.
+  /// (the Engine's verdicts) under the same stage name.
   [[nodiscard]] std::uint16_t flight_stage() const { return flight_stage_; }
   /// Liveness witness for subclasses scheduling their own `this`-capturing
-  /// closures (Engine verdict drains, arbiter egress) — same guard as the
+  /// closures (Engine verdict drains) — same guard as the
   /// service-completion event.
   [[nodiscard]] LifetimeToken lifetime_token() const {
     return lifetime_.token();

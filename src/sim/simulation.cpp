@@ -24,8 +24,6 @@ Simulation::Simulation() {
     add_counter(snap, "sim.queue.pushed", queue.pushed);
     add_counter(snap, "sim.queue.inline_closures", queue.inline_closures);
     add_counter(snap, "sim.queue.boxed_closures", queue.boxed_closures);
-    add_counter(snap, "sim.queue.overflow_spills", queue.overflow_spills);
-    add_counter(snap, "sim.queue.window_rebuilds", queue.window_rebuilds);
     add_counter(snap, "sim.queue.slabs", queue.slabs_allocated);
     add_gauge(snap, "sim.queue.pending_high_watermark",
               queue.pending_high_watermark);
@@ -71,7 +69,7 @@ std::size_t Simulation::run_before(TimePs horizon) {
   return executed;
 }
 
-TimePs Simulation::next_event_time() {
+TimePs Simulation::next_event_time() const {
   return queue_.empty() ? time_horizon : queue_.min_time();
 }
 

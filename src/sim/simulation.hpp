@@ -65,10 +65,10 @@ class Simulation {
   bool step();
 
   /// Earliest pending event's time, or time_horizon when the queue is
-  /// empty. Non-const: locating the minimum may advance the calendar
-  /// window. The lockstep window scheduler sizes the next safe window off
-  /// the minimum of this across shards, plus the link-delay lookahead.
-  [[nodiscard]] TimePs next_event_time();
+  /// empty (the event heap's root). The lockstep window scheduler sizes the
+  /// next safe window off the minimum of this across shards, plus the
+  /// link-delay lookahead.
+  [[nodiscard]] TimePs next_event_time() const;
 
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }

@@ -1,4 +1,4 @@
-// Property tests for the slab calendar event queue against a naive
+// Property tests for the slab-node heap event queue against a naive
 // sorted-vector oracle, plus the time-horizon saturation contract.
 #include "sim/event_queue.hpp"
 
@@ -17,9 +17,8 @@ namespace flexsfp::sim {
 namespace {
 
 /// The reference semantics: a stable-sorted list of (time, insertion-order)
-/// entries. Everything the calendar structure does — ring rotation,
-/// overflow spill/migration, bucket widening — must be invisible next to
-/// this.
+/// entries. Everything the heap does — sifting, slab reuse, inline and
+/// boxed closures — must be invisible next to this.
 class OracleQueue {
  public:
   void push(TimePs at, int tag) { entries_.push_back({at, next_seq_++, tag}); }
@@ -51,16 +50,18 @@ class OracleQueue {
 
 TEST(EventQueueProperty, RandomSchedulesMatchOracle) {
   // Several seeds, each a random interleaving of pushes and pops with time
-  // offsets spanning sub-bucket to far-beyond-the-ring-window, so the
-  // current heap, the ring, the overflow list and its migration all engage.
+  // offsets from exact ties to seconds out, then a deep phase that holds
+  // 4,096 events pending over a millisecond horizon.
   constexpr std::array<TimePs, 6> spans = {
-      1,            // same-bucket ties
-      10'000,       // within one 16.4 ns bucket
-      1'000'000,    // a few buckets out
-      100'000'000,  // well within the 256-bucket ring
-      10'000'000'000,     // beyond the ring -> overflow list
-      5'000'000'000'000,  // deep horizon -> widening territory
+      1,            // exact ties
+      10'000,       // sub-packet gaps
+      1'000'000,    // about a microsecond
+      100'000'000,  // a tenth of a millisecond
+      10'000'000'000,     // tens of milliseconds
+      5'000'000'000'000,  // seconds
   };
+  constexpr int kDeep = 4096;              // events held pending
+  constexpr TimePs kDeepSpan = 1'000'000'000;  // 1 ms horizon
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     EventQueue queue;
     OracleQueue oracle;
@@ -89,13 +90,33 @@ TEST(EventQueueProperty, RandomSchedulesMatchOracle) {
         now = popped.at();
       }
     }
-    while (!queue.empty()) {
+    const auto pop_both = [&] {
       auto popped = queue.pop();
       const auto [oracle_at, oracle_tag] = oracle.pop();
       ASSERT_EQ(popped.at(), oracle_at) << "seed " << seed;
       popped.invoke();
       oracle_order.push_back(oracle_tag);
       ASSERT_EQ(queue_order.back(), oracle_tag) << "seed " << seed;
+      now = popped.at();
+    };
+    // Deep phase: fill to kDeep pending, then pop one and push one per
+    // step so the heap stays that deep while the clock crosses the span.
+    const auto push_deep = [&] {
+      const TimePs at =
+          now + static_cast<TimePs>(rng() % std::uint64_t(kDeepSpan));
+      const int tag = next_tag++;
+      queue.push(at, [tag, &queue_order]() { queue_order.push_back(tag); });
+      oracle.push(at, tag);
+    };
+    while (queue.size() < std::size_t(kDeep)) push_deep();
+    for (int step = 0; step < kDeep; ++step) {
+      pop_both();
+      if (HasFatalFailure()) return;
+      push_deep();
+    }
+    while (!queue.empty()) {
+      pop_both();
+      if (HasFatalFailure()) return;
     }
     EXPECT_TRUE(oracle.empty());
     EXPECT_EQ(queue_order, oracle_order) << "seed " << seed;
@@ -117,18 +138,15 @@ TEST(EventQueueProperty, SameTimestampPopsInInsertionOrder) {
 }
 
 TEST(EventQueueProperty, FarFutureEventSurvivesBusyForeground) {
-  // Regression for the overflow-migration invariant: an event parked on the
-  // overflow list must execute in order even while a continuously
-  // rescheduling foreground stream keeps the ring window advancing past it
-  // one bucket at a time (the fault-injector flap-end timer pattern).
+  // A far-future event must execute in order while a continuously
+  // rescheduling foreground stream runs up to and past it (the
+  // fault-injector flap-end timer pattern).
   EventQueue queue;
   std::vector<int> order;
-  const TimePs far = 200'000'000;  // ~12k buckets out: overflow for sure
+  const TimePs far = 200'000'000;  // 2,000 stream periods out
   queue.push(far, [&order]() { order.push_back(-1); });
-  EXPECT_EQ(queue.stats().overflow_spills, 1u);
 
-  // A self-rescheduling stream with a period much smaller than a bucket
-  // span keeps ring_count_ nonzero as the window slides over `far`.
+  // A self-rescheduling stream keeps one near event pending throughout.
   struct Stream {
     EventQueue& queue;
     std::vector<int>& order;
@@ -162,13 +180,11 @@ TEST(EventQueueProperty, FarFutureEventSurvivesBusyForeground) {
   EXPECT_GT(order.size(), index + 10) << "far event ran last, not in order";
 }
 
-TEST(EventQueueProperty, SparseHorizonWidensBuckets) {
+TEST(EventQueueProperty, SparseHorizonPopsInOrder) {
   EventQueue queue;
-  const TimePs initial_width = queue.bucket_width();
   int fired = 0;
-  // A handful of events spread across seconds: after draining the near
-  // window the redistribution should widen buckets rather than scan
-  // millions of empty slots.
+  // A handful of events spread across seconds, each 4x further out than
+  // the last.
   for (int i = 0; i < 8; ++i) {
     queue.push(TimePs{1} << (30 + 2 * i), [&fired]() { ++fired; });
   }
@@ -180,8 +196,6 @@ TEST(EventQueueProperty, SparseHorizonWidensBuckets) {
     popped.invoke();
   }
   EXPECT_EQ(fired, 8);
-  EXPECT_GT(queue.bucket_width(), initial_width);
-  EXPECT_GT(queue.stats().window_rebuilds, 0u);
 }
 
 TEST(EventQueueProperty, OversizeClosureTakesBoxedPathAndStillRuns) {
@@ -258,7 +272,7 @@ TEST(SimulationClamp, RunUntilBoundaryIsInclusive) {
 TEST(SimulationClamp, ScheduleInSaturatesAtHorizonInsteadOfWrapping) {
   // Regression: near the TimePs horizon, now + delay used to wrap negative
   // and the "practically forever" timer fired immediately (or crashed the
-  // calendar index math). It must clamp to time_horizon and stay last.
+  // queue's ordering). It must clamp to time_horizon and stay last.
   EXPECT_EQ(saturating_add(time_horizon, 1), time_horizon);
   EXPECT_EQ(saturating_add(time_horizon - 5, 10), time_horizon);
   EXPECT_EQ(saturating_add(1, time_horizon), time_horizon);

@@ -12,8 +12,9 @@ it is measured by `python3 perfbench/run.py`.
 
 Three gate classes:
 
-* strict   — simulated results (allocations/packet, loss rate, delivered
-             Gb/s at a fixed offered load, ledger and determinism flags).
+* strict   — simulated results (allocations/packet, events/packet, loss
+             rate, delivered Gb/s at a fixed offered load, ledger and
+             determinism flags).
              Any regression beyond --tolerance (default 15%) fails.
 * context  — run parameters (e.g. `shards`). They must match exactly — a
              mismatch means the fresh run used different arguments than the
@@ -44,6 +45,9 @@ import sys
 # matching no pattern are reported as info only.
 POLICIES = [
     ("allocs_per_packet*", "higher_is_worse", "strict"),
+    # Events the simulator executes per packet: its own work, counted, not
+    # timed, so it gates strictly like allocations.
+    ("events_per_packet*", "higher_is_worse", "strict"),
     ("worst_loss_rate", "higher_is_worse", "strict"),
     ("delivered_gbps_*", "lower_is_worse", "strict"),
     ("determinism_ok", "lower_is_worse", "strict"),

@@ -115,10 +115,12 @@ bool parse_probability(const char* text, double& out) {
   return parse_double(text, out) && out >= 0.0 && out <= 1.0;
 }
 
+// The most microseconds a picosecond TimePs can hold.
+constexpr std::uint64_t max_us =
+    std::uint64_t(std::numeric_limits<sim::TimePs>::max()) / 1'000'000;
+
 // "start:dur" in microseconds -> a FlapWindow in picoseconds.
 bool parse_flap(const char* text, sim::FlapWindow& out) {
-  constexpr std::uint64_t max_us =
-      std::uint64_t(std::numeric_limits<sim::TimePs>::max()) / 1'000'000;
   const char* end = text + std::strlen(text);
   std::uint64_t start_us = 0;
   std::uint64_t dur_us = 0;
@@ -255,8 +257,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--poisson") {
       poisson = true;
     } else if (arg == "--duration-us" && has_value) {
-      if (!parse_uint(argv[++i], duration_us)) {
-        return bad_value(arg, argv[i], kCount);
+      if (!parse_uint(argv[++i], duration_us) || duration_us > max_us) {
+        return bad_value(arg, argv[i],
+                         "a microsecond count that fits the simulated clock");
       }
     } else if (arg == "--two-way") {
       two_way = true;

@@ -21,6 +21,7 @@ GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 BASELINE = {
     "allocs_per_packet": 0.03,
+    "events_per_packet_64": 5.0,
     "delivered_gbps_64": 7.25,
     "worst_loss_rate": 0.0,
     "ledger_ok": 1,
@@ -68,6 +69,10 @@ CASES = [
      with_figures(delivered_gbps_64=7.0), 0),
     ("allocs/packet noise inside the absolute headroom passes",
      with_figures(allocs_per_packet=0.045), 0),
+    ("events/packet rising from 5 to 6 fails",
+     with_figures(events_per_packet_64=6.0), 1),
+    ("events/packet falling passes",
+     with_figures(events_per_packet_64=4.0), 0),
     ("zero-loss baseline regressing to 1.9% loss fails",
      with_figures(worst_loss_rate=0.019), 1),
     ("ledger flag dropping to 0 fails", with_figures(ledger_ok=0), 1),
