@@ -4,14 +4,18 @@
 // the modeled hardware throughput.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "apps/acl.hpp"
 #include "apps/load_balancer.hpp"
 #include "apps/nat.hpp"
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
+#include "net/packet_pool.hpp"
 #include "net/parser.hpp"
 #include "ppe/tables.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -167,6 +171,39 @@ void BM_EventQueueHold(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EventQueueHold)->Arg(8)->Arg(128)->Arg(1024)->Arg(8192);
+
+// Synchronization cost of one lockstep round: 5 jobs whose advance bodies
+// do nothing, so the time per iteration is the barrier's round trip (publish
+// a generation, every thread runs its slice, the caller collects them).
+// Thread start-up and the first round fall outside the timed region.
+void BM_LockstepRound(benchmark::State& state) {
+  sim::run_lockstep_rounds(
+      5, static_cast<unsigned>(state.range(0)), [](std::size_t) {},
+      [&state] { return state.KeepRunning(); });
+}
+BENCHMARK(BM_LockstepRound)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// The fabric engine's cross-world handoff for one frame of `size` bytes:
+// the source world captures a pooled packet, the barrier copies it into a
+// packet of the destination world's pool and releases the source packet,
+// and the destination later releases its copy. Both pools are warm, so the
+// steady state reuses recycled capacity on both sides.
+void BM_FabricHandoff(benchmark::State& state) {
+  net::PacketPool source;
+  net::PacketPool destination;
+  net::Packet sized(sample_frame(0));
+  sized.data().resize(static_cast<std::size_t>(state.range(0)), 0x5a);
+  std::vector<net::PacketPtr> outbox;
+  outbox.reserve(1);
+  for (auto _ : state) {
+    outbox.push_back(source.clone(sized));  // captured at the uplink
+    net::PacketPtr delivered = destination.clone(*outbox.back());
+    outbox.clear();  // the source packet returns to its own pool
+    benchmark::DoNotOptimize(delivered->data().data());
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_FabricHandoff)->Arg(64)->Arg(1518);
 
 }  // namespace
 

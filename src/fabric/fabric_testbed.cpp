@@ -158,14 +158,15 @@ FabricRunResult FabricTestbed::run() {
 
 namespace {
 
-/// One packet crossing worlds: captured on the source world's thread as a
-/// value frame, applied at the barrier. `arrival` already includes the link
-/// propagation delay, which is what makes it ≥ every future window start.
+/// One packet crossing worlds: captured on the source world's thread, still
+/// owned by the source world's pool, applied at the barrier. `arrival`
+/// already includes the link propagation delay, which is what makes it ≥
+/// every future window start.
 struct Boundary {
   sim::TimePs arrival = 0;
   std::size_t dest_world = 0;
   int port = 0;  // module port, or crossbar input index
-  net::Packet frame;
+  net::PacketPtr packet;
 };
 
 struct World {
@@ -203,7 +204,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
         [&world, xbar_world, i, delay](net::PacketPtr p) {
           world.outbox.push_back(
               Boundary{sim::saturating_add(world.sim.now(), delay), xbar_world,
-                       static_cast<int>(i), net::detach_frame(*p)});
+                       static_cast<int>(i), std::move(p)});
         });
   }
   {
@@ -220,7 +221,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
         sfp::set_egress_hint(*p, sfp::FlexSfpModule::edge_port);
         world.outbox.push_back(
             Boundary{sim::saturating_add(world.sim.now(), delay), j,
-                     sfp::FlexSfpModule::optical_port, net::detach_frame(*p)});
+                     sfp::FlexSfpModule::optical_port, std::move(p)});
       });
     }
   }
@@ -241,6 +242,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
 
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t rounds = 0;
+  std::vector<Boundary> inbound;  // one destination's batch, reused
   sim::TimePs horizon = compute_horizon();
   if (horizon != sim::time_horizon) {
     sim::run_lockstep_rounds(
@@ -255,7 +257,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
           // order, so a stable sort on arrival realizes exactly that key —
           // the tie-break that keeps every worker count bit-identical.
           for (std::size_t dest = 0; dest < worlds.size(); ++dest) {
-            std::vector<Boundary> inbound;
+            inbound.clear();
             for (auto& src : worlds) {
               for (auto& boundary : src->outbox) {
                 if (boundary.dest_world == dest) {
@@ -263,10 +265,14 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
                 }
               }
             }
-            std::stable_sort(inbound.begin(), inbound.end(),
-                             [](const Boundary& a, const Boundary& b) {
-                               return a.arrival < b.arrival;
-                             });
+            const auto by_arrival = [](const Boundary& a, const Boundary& b) {
+              return a.arrival < b.arrival;
+            };
+            // std::stable_sort takes a heap temporary buffer even for one
+            // element; a batch already in order (the common case) skips it.
+            if (!std::is_sorted(inbound.begin(), inbound.end(), by_arrival)) {
+              std::stable_sort(inbound.begin(), inbound.end(), by_arrival);
+            }
             World& dw = *worlds[dest];
             for (Boundary& boundary : inbound) {
               if (boundary.arrival < dw.sim.now()) {
@@ -274,10 +280,13 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
                     "conservative-sync violation: boundary packet arrives "
                     "before the window start");
               }
-              // Workers are parked at the barrier, so touching the
-              // destination pool here is single-threaded.
+              // Workers wait at the barrier, so touching both pools here is
+              // single-threaded: copy the frame into recycled capacity of
+              // the destination pool, then return the source packet to its
+              // own pool.
               net::PacketPtr packet =
-                  dw.sim.packet_pool().make_from(std::move(boundary.frame));
+                  dw.sim.packet_pool().clone(*boundary.packet);
+              boundary.packet.reset();
               if (dest == xbar_world) {
                 dw.sim.schedule_at(
                     boundary.arrival,

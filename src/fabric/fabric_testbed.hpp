@@ -11,11 +11,13 @@
 //     propagation delay is the lookahead, so every world can safely run to
 //     (min next event across worlds) + delay, and the packets captured at
 //     its uplink during the window are exchanged at the barrier with
-//     timestamps that are provably ≥ the new window start. Cross-world
-//     handoff detaches a value frame on the source world's thread and
-//     re-pools it on the destination (see net::detach_frame); batches are
-//     applied in (arrival, source world, capture seq) order, so results are
-//     bit-identical for any worker count. DESIGN.md §11 has the proof
+//     timestamps that are provably ≥ the new window start. A captured
+//     packet stays a PacketPtr of its source world until the barrier; there,
+//     with every worker waiting, the exchange clones it into the destination
+//     world's pool and releases the source packet into its own, so no
+//     refcount or free list is ever touched by two threads at once. Batches
+//     are applied in (arrival, source world, capture seq) order, so results
+//     are bit-identical for any worker count. DESIGN.md §11 has the proof
 //     sketch.
 //
 // Either way the run ends with a loss ledger: every packet the generators

@@ -1,5 +1,6 @@
 #include "fabric/topology.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "fabric/parallel_testbed.hpp"
@@ -28,6 +29,15 @@ void Topology::validate() const {
   }
   if (crosspoint_capacity == 0) {
     throw std::invalid_argument("Topology crosspoint capacity must be >= 1");
+  }
+  // Every module's destination /16 slice must sit below 2^32: a slice base
+  // that wraps would alias another address range and its traffic would land
+  // silently in `unrouted`.
+  const std::uint64_t base = traffic_prototype.dst_base.value();
+  if (modules > (std::uint64_t{1} << 16) ||
+      base + (std::uint64_t{modules} << 16) > (std::uint64_t{1} << 32)) {
+    throw std::invalid_argument(
+        "Topology module count overflows the IPv4 destination slices");
   }
 }
 

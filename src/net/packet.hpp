@@ -189,12 +189,11 @@ class PacketPtr {
 [[nodiscard]] PacketPtr make_packet(Packet frame);
 
 /// Detach a self-contained value copy of a pooled packet's frame (wire
-/// bytes + simulation metadata, no intrusive bookkeeping) for cross-shard
-/// handoff. The copy is taken on the thread that owns the source pool,
-/// carried across the window barrier as a plain value, and re-pooled on the
-/// destination shard with its pool's make_from() — raw PacketPtrs must
-/// never cross shards, because the refcount is non-atomic and the free list
-/// is single-threaded.
+/// bytes + simulation metadata, no intrusive bookkeeping) that may outlive
+/// the packet's pool and thread. Its one remaining user is perfbench's frame
+/// sampler, which keeps delivered frames past the run. Cross-world handoff
+/// in the fabric engine does not detach: it clones straight into the
+/// destination pool at the barrier (PacketPool::clone).
 [[nodiscard]] inline Packet detach_frame(const Packet& packet) {
   return packet;
 }

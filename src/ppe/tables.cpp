@@ -23,10 +23,7 @@ ExactMatchTable::ExactMatchTable(std::string name, std::size_t capacity,
       key_bits_(key_bits),
       value_bits_(value_bits),
       ways_(std::max<std::size_t>(ways, 1)),
-      bucket_count_(round_up_pow2((capacity + ways_ - 1) / ways_)),
-      keys_(bucket_count_ * ways_, 0),
-      values_(bucket_count_ * ways_, 0),
-      valid_(bucket_count_ * ways_, 0) {}
+      bucket_count_(round_up_pow2((capacity + ways_ - 1) / ways_)) {}
 
 std::array<std::size_t, 2> ExactMatchTable::bucket_indices(
     std::uint64_t key) const {
@@ -41,6 +38,12 @@ std::array<std::size_t, 2> ExactMatchTable::bucket_indices(
 
 bool ExactMatchTable::insert(std::uint64_t key, std::uint64_t value) {
   constexpr std::size_t no_slot = ~std::size_t{0};
+  if (valid_.empty()) {
+    const std::size_t slots = bucket_count_ * ways_;
+    keys_.assign(slots, 0);
+    values_.assign(slots, 0);
+    valid_.assign(slots, 0);
+  }
   const auto buckets = bucket_indices(key);
   // Pass 1: update in place, wherever the key already lives.
   for (const std::size_t bucket : buckets) {
@@ -142,6 +145,7 @@ bool ExactMatchTable::cuckoo_make_room(std::size_t bucket, int depth) {
 }
 
 std::optional<std::uint64_t> ExactMatchTable::lookup(std::uint64_t key) const {
+  if (size_ == 0) return std::nullopt;
   for (const std::size_t bucket : bucket_indices(key)) {
     const std::size_t base = bucket * ways_;
     for (std::size_t way = 0; way < ways_; ++way) {
@@ -154,6 +158,7 @@ std::optional<std::uint64_t> ExactMatchTable::lookup(std::uint64_t key) const {
 }
 
 bool ExactMatchTable::erase(std::uint64_t key) {
+  if (size_ == 0) return false;
   for (const std::size_t bucket : bucket_indices(key)) {
     const std::size_t base = bucket * ways_;
     for (std::size_t way = 0; way < ways_; ++way) {

@@ -23,9 +23,9 @@
 namespace flexsfp::ppe {
 
 /// Two-choice bucketed exact-match table: `ways`-associative buckets, two
-/// candidate buckets per key (d-left). Fixed geometry: capacity is
-/// allocated up front (it is SRAM); an insert fails when both candidate
-/// buckets are full.
+/// candidate buckets per key (d-left). Fixed geometry (it is SRAM): the
+/// whole capacity is allocated by the first insert, never grown, and an
+/// insert fails when both candidate buckets are full.
 class ExactMatchTable {
  public:
   /// `key_bits`/`value_bits` drive the resource estimate; runtime keys are
@@ -83,7 +83,9 @@ class ExactMatchTable {
   // SoA slot storage (bucket_count_ x ways_ slots each): a probe streams
   // through one cache line of keys per bucket instead of striding over
   // padded {valid,key,value} structs. Index order — and therefore for_each
-  // iteration order — is identical to the former Entry vector.
+  // iteration order — is identical to the former Entry vector. Allocated by
+  // the first insert: a table that is never filled (a NAT module that only
+  // forwards on miss, as in every fabric topology) costs no slot memory.
   std::vector<std::uint64_t> keys_;
   std::vector<std::uint64_t> values_;
   std::vector<std::uint8_t> valid_;

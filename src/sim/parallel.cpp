@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -10,6 +11,62 @@
 #include <vector>
 
 namespace flexsfp::sim {
+
+namespace {
+
+/// How long a waiter polls its atomic before parking on the condition
+/// variable. A lockstep round that carries a packet or two finishes in a few
+/// µs, so the next generation almost always lands inside the spin; an idle
+/// or oversubscribed pool still parks instead of burning a core.
+constexpr auto kSpinBound = std::chrono::microseconds(50);
+/// Past this much of the spin, each poll yields the CPU instead of pausing.
+/// Without it, two threads the scheduler placed on one core settle into a
+/// stable mode where each spins out its whole bound while the thread it
+/// waits for cannot run, then parks: about 2 × kSpinBound per round.
+constexpr auto kPauseBound = std::chrono::microseconds(2);
+constexpr std::size_t kCacheLine = 64;
+
+/// The CPU's spin-wait hint (x86 `pause`, aarch64 `yield`); a plain spin on
+/// targets without one.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Wait until `ready()` holds: poll it for kSpinBound, then park on `cv`.
+/// `ready` reads only atomics; notifiers store them before a lock/unlock of
+/// `mutex` and the notify (see notify_waiters), so re-checking under the
+/// mutex cannot miss a wake-up.
+template <typename Ready>
+void spin_then_park(std::mutex& mutex, std::condition_variable& cv,
+                    const Ready& ready) {
+  const auto start = std::chrono::steady_clock::now();
+  while (!ready()) {
+    const auto waited = std::chrono::steady_clock::now() - start;
+    if (waited < kPauseBound) {
+      cpu_relax();
+    } else if (waited < kSpinBound) {
+      std::this_thread::yield();
+    } else {
+      std::unique_lock<std::mutex> lock(mutex);
+      cv.wait(lock, ready);
+      return;
+    }
+  }
+}
+
+/// Wake everyone parked on `cv` after the caller stored the atomic their
+/// predicate reads. The empty critical section orders the store against a
+/// waiter that is between its predicate check and its sleep.
+void notify_waiters(std::mutex& mutex, std::condition_variable& cv) {
+  { const std::lock_guard<std::mutex> lock(mutex); }
+  cv.notify_all();
+}
+
+}  // namespace
 
 unsigned resolve_threads(std::size_t jobs, unsigned requested) {
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
@@ -32,30 +89,35 @@ void run_lockstep_rounds(std::size_t jobs, unsigned workers,
   }
 
   // Generation barrier shared by the pool. The round counter is the
-  // generation: workers sleep until it moves, drain the ticket, then report
-  // in; the caller thread flips the generation, drains tickets itself,
-  // waits for busy == 0, and runs the exchange while everyone is parked.
-  // The mutex around the round/busy handshake is what publishes the
-  // caller's exchange-phase writes (scheduled boundary events) to the
-  // workers, and the workers' advance-phase writes back to the caller.
+  // generation: the caller publishes a round with a release increment,
+  // workers acquire it, advance their fixed slice of jobs and count down
+  // `busy`; the last one out releases the caller, which acquires busy == 0
+  // and runs the exchange while every worker waits for the next generation.
+  // Those two release/acquire edges are what publish the exchange-phase
+  // writes (scheduled boundary events) to the workers and the advance-phase
+  // writes back to the caller. The mutex only backs the parked slow path
+  // and the rare error record.
+  //
+  // The polled atomics sit on their own cache lines, away from each other
+  // and from the mutex, so a worker counting down `busy` or a notifier
+  // taking the mutex does not evict the line the others are polling.
   struct Barrier {
     std::mutex mutex;
     std::condition_variable start;
     std::condition_variable done;
-    std::uint64_t round = 0;
-    unsigned busy = 0;
-    bool stop = false;
-    std::atomic<std::size_t> ticket{0};
-    std::size_t first_error_index = 0;
+    alignas(kCacheLine) std::atomic<std::uint64_t> round{0};
+    std::atomic<bool> stop{false};
+    alignas(kCacheLine) std::atomic<unsigned> busy{0};
+    alignas(kCacheLine) std::size_t first_error_index = 0;
     std::exception_ptr first_error;
   } barrier;
   barrier.first_error_index = jobs;
 
-  auto drain = [&] {
-    while (true) {
-      const std::size_t i =
-          barrier.ticket.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs) return;
+  // Thread `t` (the caller is thread 0) owns jobs t, t + pool, ... for the
+  // whole run, so a shard's queue, pool and registry stay in one core's
+  // cache.
+  auto advance_slice = [&](unsigned t) {
+    for (std::size_t i = t; i < jobs; i += pool) {
       try {
         advance(i);
       } catch (...) {
@@ -68,51 +130,44 @@ void run_lockstep_rounds(std::size_t jobs, unsigned workers,
     }
   };
 
-  auto worker = [&] {
+  auto worker = [&](unsigned t) {
     std::uint64_t seen = 0;
     while (true) {
-      std::unique_lock<std::mutex> lock(barrier.mutex);
-      barrier.start.wait(lock,
-                         [&] { return barrier.stop || barrier.round != seen; });
-      if (barrier.stop) return;
-      seen = barrier.round;
-      lock.unlock();
-      drain();
-      lock.lock();
-      if (--barrier.busy == 0) barrier.done.notify_one();
+      spin_then_park(barrier.mutex, barrier.start, [&] {
+        return barrier.stop.load(std::memory_order_acquire) ||
+               barrier.round.load(std::memory_order_acquire) != seen;
+      });
+      if (barrier.stop.load(std::memory_order_acquire)) return;
+      ++seen;  // the caller waits for busy == 0 before the next generation
+      advance_slice(t);
+      if (barrier.busy.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        notify_waiters(barrier.mutex, barrier.done);
+      }
     }
   };
 
   std::vector<std::thread> threads;
   threads.reserve(pool - 1);
-  for (unsigned t = 1; t < pool; ++t) threads.emplace_back(worker);
+  for (unsigned t = 1; t < pool; ++t) threads.emplace_back(worker, t);
 
   const auto shut_down = [&] {
-    {
-      const std::lock_guard<std::mutex> lock(barrier.mutex);
-      barrier.stop = true;
-    }
-    barrier.start.notify_all();
+    barrier.stop.store(true, std::memory_order_release);
+    notify_waiters(barrier.mutex, barrier.start);
     for (auto& thread : threads) thread.join();
   };
 
   try {
     bool more = true;
     while (more) {
-      barrier.ticket.store(0, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(barrier.mutex);
-        barrier.busy = pool - 1;
-        ++barrier.round;
-      }
-      barrier.start.notify_all();
-      drain();  // the caller thread advances shards too
-      {
-        std::unique_lock<std::mutex> lock(barrier.mutex);
-        barrier.done.wait(lock, [&] { return barrier.busy == 0; });
-      }
+      barrier.busy.store(pool - 1, std::memory_order_relaxed);
+      barrier.round.fetch_add(1, std::memory_order_release);
+      notify_waiters(barrier.mutex, barrier.start);
+      advance_slice(0);  // the caller thread advances its slice too
+      spin_then_park(barrier.mutex, barrier.done, [&] {
+        return barrier.busy.load(std::memory_order_acquire) == 0;
+      });
       if (barrier.first_error) break;
-      more = exchange();  // workers are parked: cross-shard state is safe
+      more = exchange();  // workers are waiting: cross-shard state is safe
     }
   } catch (...) {
     shut_down();

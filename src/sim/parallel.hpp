@@ -20,17 +20,23 @@ namespace flexsfp::sim {
 /// alternate two phases until `exchange` says stop:
 ///
 ///   1. advance — `advance(0) .. advance(jobs-1)`, each exactly once,
-///      spread over up to `workers` threads; advance bodies share no
-///      mutable state. `workers <= 1` runs them on the caller thread in
-///      index order — the sequential oracle.
+///      spread over `p = resolve_threads(jobs, workers)` threads; advance
+///      bodies share no mutable state. `p <= 1` runs them on the caller
+///      thread in index order — the sequential oracle.
 ///   2. exchange — `exchange()` runs on the caller thread while every
-///      worker is parked at the barrier; this is the only place cross-shard
+///      worker waits at the barrier; this is the only place cross-shard
 ///      state may be touched. Return true to run another round.
 ///
-/// Worker threads persist across rounds (a generation barrier, not a
-/// thread-per-round join), so a run of many small windows pays thread
-/// start-up once. Exceptions from advance bodies skip the round's exchange
-/// and are rethrown on the caller thread (lowest shard index first).
+/// Placement is fixed: job `i` runs on thread `i % p` in every round (thread
+/// 0 is the caller), so a shard's event queue, packet pool and registry stay
+/// in one core's cache for the whole run. Worker threads persist across
+/// rounds behind a generation barrier that polls for up to 50 µs (with the
+/// CPU's spin-wait hint — x86 `pause`, aarch64 `yield` — for the first 2 µs,
+/// then yielding the thread) before parking on a condition variable, so a run
+/// of many small windows pays neither thread start-up nor a futex wake-up
+/// per round. Exceptions
+/// from advance bodies skip the round's exchange and are rethrown on the
+/// caller thread (lowest shard index first).
 void run_lockstep_rounds(std::size_t jobs, unsigned workers,
                          const std::function<void(std::size_t)>& advance,
                          const std::function<bool()>& exchange);

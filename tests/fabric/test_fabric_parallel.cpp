@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "sim/random.hpp"
 
@@ -104,29 +107,72 @@ TEST(FabricParallel, RepeatedRunsAreDeterministic) {
   EXPECT_EQ(first.events, second.events);
 }
 
+void expect_same_ledger(const FabricLedger& run, const FabricLedger& ref,
+                        const std::string& where) {
+  EXPECT_EQ(run.sent, ref.sent) << where;
+  EXPECT_EQ(run.delivered, ref.delivered) << where;
+  EXPECT_EQ(run.duplicated, ref.duplicated) << where;
+  EXPECT_EQ(run.fault_dropped, ref.fault_dropped) << where;
+  EXPECT_EQ(run.queue_drops, ref.queue_drops) << where;
+  EXPECT_EQ(run.dark_drops, ref.dark_drops) << where;
+  EXPECT_EQ(run.app_drops, ref.app_drops) << where;
+  EXPECT_EQ(run.control_punts, ref.control_punts) << where;
+  EXPECT_EQ(run.crosspoint_drops, ref.crosspoint_drops) << where;
+  EXPECT_EQ(run.unrouted, ref.unrouted) << where;
+}
+
 TEST(FabricParallel, AgreesWithTheSingleSimulationReference) {
   // Same Topology through both engines. Packet-id spaces and registry
   // structure differ (one sim vs a sim per world), so the comparison is at
   // the ledger level: identical traffic, identical fault decisions,
-  // identical timing → identical counts everywhere.
-  const Topology topo = base_topology(3, 42);
-  FabricTestbed single(topo);
-  const auto reference = single.run();
-  FabricParallelTestbed windowed(topo);
-  const auto run = windowed.run(1);
+  // identical timing → every ledger term and every module's latency
+  // percentiles identical, for any worker count. Two shapes: the unfaulted
+  // ring, and a perfbench-style incast (4 modules → module 0, shallow
+  // crosspoints, lossy and duplicating links) that exercises every drop
+  // term the fabric has.
+  Topology incast = base_topology(4, 42);
+  incast.targets = {0, 0, 0, 0};
+  incast.crosspoint_capacity = 16;
+  incast.traffic_prototype.rate = DataRate::gbps(4);
+  incast.traffic_prototype.sizes = SizeDistribution::uniform;
+  incast.traffic_prototype.min_size = 64;
+  incast.traffic_prototype.max_size = 1518;
+  incast.traffic_prototype.duration = 100_us;
+  sim::FaultSpec faults;
+  faults.drop_prob = 0.02;
+  faults.duplicate_prob = 0.01;
+  faults.seed = 9;
+  incast.link_faults = faults;
 
-  EXPECT_EQ(run.ledger.sent, reference.ledger.sent);
-  EXPECT_EQ(run.ledger.delivered, reference.ledger.delivered);
-  EXPECT_EQ(run.ledger.crosspoint_drops, reference.ledger.crosspoint_drops);
-  EXPECT_EQ(run.ledger.unrouted, reference.ledger.unrouted);
-  ASSERT_EQ(run.modules.size(), reference.modules.size());
-  for (std::size_t i = 0; i < run.modules.size(); ++i) {
-    EXPECT_EQ(run.modules[i].sent_packets,
-              reference.modules[i].sent_packets);
-    EXPECT_EQ(run.modules[i].received_packets,
-              reference.modules[i].received_packets);
-    EXPECT_EQ(run.modules[i].latency_p50_ns,
-              reference.modules[i].latency_p50_ns);
+  const std::vector<std::pair<const char*, Topology>> shapes = {
+      {"ring", base_topology(3, 42)}, {"incast", incast}};
+  for (const auto& [shape, topo] : shapes) {
+    FabricTestbed single(topo);
+    const auto reference = single.run();
+    ASSERT_TRUE(reference.ledger.balanced()) << shape;
+    if (topo.link_faults) {
+      ASSERT_GT(reference.ledger.fault_dropped, 0u) << shape;
+      ASSERT_GT(reference.ledger.duplicated, 0u) << shape;
+      ASSERT_GT(reference.ledger.crosspoint_drops, 0u) << shape;
+    }
+    FabricParallelTestbed windowed(topo);
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      const auto run = windowed.run(workers);
+      const std::string where =
+          std::string(shape) + " workers=" + std::to_string(workers);
+      expect_same_ledger(run.ledger, reference.ledger, where);
+      ASSERT_EQ(run.modules.size(), reference.modules.size()) << where;
+      for (std::size_t i = 0; i < run.modules.size(); ++i) {
+        EXPECT_EQ(run.modules[i].sent_packets,
+                  reference.modules[i].sent_packets) << where;
+        EXPECT_EQ(run.modules[i].received_packets,
+                  reference.modules[i].received_packets) << where;
+        EXPECT_EQ(run.modules[i].latency_p50_ns,
+                  reference.modules[i].latency_p50_ns) << where;
+        EXPECT_EQ(run.modules[i].latency_p99_ns,
+                  reference.modules[i].latency_p99_ns) << where;
+      }
+    }
   }
 }
 

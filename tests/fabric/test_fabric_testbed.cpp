@@ -37,6 +37,20 @@ TEST(Topology, ValidatesItsDescription) {
   topo = Topology{};
   topo.crosspoint_capacity = 0;
   EXPECT_THROW(topo.validate(), std::invalid_argument);
+  // From the default 192.168.0.0, slice 16216 would start at 2^32 and wrap
+  // to 0.0.0.0: 16216 modules is the most whose slices all fit.
+  topo = Topology{};
+  ASSERT_EQ(topo.traffic_prototype.dst_base.value(), 0xC0A8'0000u);
+  topo.modules = 16'216;
+  EXPECT_NO_THROW(topo.validate());
+  topo.modules = 16'217;
+  EXPECT_THROW(topo.validate(), std::invalid_argument);
+  topo.modules = std::size_t{1} << 48;  // the slice shift itself would wrap
+  EXPECT_THROW(topo.validate(), std::invalid_argument);
+  topo = Topology{};
+  topo.traffic_prototype.dst_base = net::Ipv4Address{0xFFFF'0000u};
+  topo.modules = 2;  // the last /16 holds one slice only
+  EXPECT_THROW(topo.validate(), std::invalid_argument);
   EXPECT_NO_THROW(Topology{}.validate());
 }
 

@@ -13,6 +13,14 @@ namespace {
 
 TEST(ExactMatchTable, InsertLookupEraseCycle) {
   ExactMatchTable table("t", 1024, 32, 64);
+  // Slot storage arrives with the first insert; a table nothing was ever
+  // inserted into still answers every query.
+  EXPECT_FALSE(table.lookup(42).has_value());
+  EXPECT_FALSE(table.erase(42));
+  table.clear();
+  int visited = 0;
+  table.for_each([&visited](std::uint64_t, std::uint64_t) { ++visited; });
+  EXPECT_EQ(visited, 0);
   EXPECT_TRUE(table.insert(42, 100));
   EXPECT_EQ(table.lookup(42), 100u);
   EXPECT_EQ(table.size(), 1u);

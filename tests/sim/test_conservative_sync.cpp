@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -131,6 +133,90 @@ TEST(RunLockstepRounds, PropagatesTheLowestIndexedAdvanceError) {
     }
     // A failed round must never run its exchange step.
     EXPECT_EQ(exchanges, 0);
+  }
+}
+
+TEST(RunLockstepRounds, AdvanceErrorInALaterRoundSkipsThatExchange) {
+  // Two jobs fail in round 3: the lowest index wins, round 3's exchange
+  // never runs, and the pool joins cleanly (the call returns at all).
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    int round = 1;
+    int exchanges = 0;
+    try {
+      run_lockstep_rounds(
+          6, workers,
+          [&round](std::size_t i) {
+            if (round == 3 && (i == 4 || i == 2)) {
+              throw std::runtime_error("job " + std::to_string(i));
+            }
+          },
+          [&] {
+            ++exchanges;
+            ++round;
+            return true;
+          });
+      FAIL() << "expected an exception (workers=" << workers << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "job 2") << "workers=" << workers;
+    }
+    EXPECT_EQ(exchanges, 2) << "workers=" << workers;
+  }
+}
+
+TEST(RunLockstepRounds, StressExchangeWritesReachTheNextAdvance) {
+  // The barrier is the only synchronization between a round's exchange and
+  // the next round's advance bodies (and back). Each job's value is a plain,
+  // non-atomic integer that the exchange writes and the next advance reads
+  // and increments — exactly the happens-before edges TSan must see. Any
+  // lost or reordered hand-off shows up as a wrong total.
+  constexpr int rounds = 20'000;
+  for (const std::size_t jobs : {2u, 5u, 8u}) {
+    for (const unsigned workers : {2u, 4u}) {
+      std::vector<std::uint64_t> value(jobs, 0);
+      int round = 0;
+      bool in_step = true;
+      run_lockstep_rounds(
+          jobs, workers, [&value](std::size_t i) { value[i] += 1; },
+          [&] {
+            ++round;
+            const auto advanced = 2 * static_cast<std::uint64_t>(round) - 1;
+            for (auto& v : value) {
+              in_step = in_step && v == advanced;
+              v += 1;
+            }
+            return round < rounds;
+          });
+      EXPECT_TRUE(in_step) << "jobs=" << jobs << " workers=" << workers;
+      EXPECT_EQ(round, rounds);
+      for (const auto v : value) {
+        EXPECT_EQ(v, 2u * rounds) << "jobs=" << jobs << " workers=" << workers;
+      }
+    }
+  }
+}
+
+TEST(RunLockstepRounds, EachJobStaysOnOneThreadEveryRound) {
+  // Fixed placement: job i runs on thread i % p in every round, and thread
+  // 0 is the caller.
+  constexpr std::size_t jobs = 7;
+  for (const unsigned workers : {2u, 3u, 4u}) {
+    const unsigned pool = resolve_threads(jobs, workers);
+    std::vector<std::vector<std::thread::id>> seen(jobs);
+    int round = 0;
+    run_lockstep_rounds(
+        jobs, workers,
+        [&seen](std::size_t i) {
+          seen[i].push_back(std::this_thread::get_id());
+        },
+        [&] { return ++round < 50; });
+    for (std::size_t i = 0; i < jobs; ++i) {
+      ASSERT_EQ(seen[i].size(), 50u);
+      const std::thread::id home = seen[i % pool].front();
+      for (const auto& id : seen[i]) {
+        EXPECT_EQ(id, home) << "job " << i << " workers=" << workers;
+      }
+    }
+    EXPECT_EQ(seen[0].front(), std::this_thread::get_id());
   }
 }
 

@@ -6,6 +6,7 @@
 // stage, app verdict counters, and a tail of the per-packet flight
 // recording. Exit codes:
 //   0  run completed
+//   1  --fabric run's ledger unbalanced, or the fabric could not be built
 //   2  usage error / unknown app
 #include <algorithm>
 #include <array>
@@ -13,8 +14,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,7 +76,8 @@ void usage(std::FILE* out) {
                "                       (ring topology) and report per-\n"
                "                       crosspoint occupancy/drops and the\n"
                "                       east-west byte matrix\n"
-               "  --modules <n>        module count for --fabric (default 3)\n"
+               "  --modules <n>        module count for --fabric, 2..256\n"
+               "                       (default 3)\n"
                "  --json               machine-readable report on stdout\n"
                "  --csv <metrics|flight>  raw CSV dump on stdout\n"
                "  -h, --help           this text\n");
@@ -114,6 +118,10 @@ bool parse_double(const char* text, double& out) {
 bool parse_probability(const char* text, double& out) {
   return parse_double(text, out) && out >= 0.0 && out <= 1.0;
 }
+
+// --fabric builds modules^2 crosspoints and their registry series; past a
+// few hundred modules that is gigabytes, so the flag is bounded.
+constexpr std::uint64_t kMaxFabricModules = 256;
 
 // The most microseconds a picosecond TimePs can hold.
 constexpr std::uint64_t max_us =
@@ -314,8 +322,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--fabric") {
       fabric = true;
     } else if (arg == "--modules" && has_value) {
-      if (!parse_uint(argv[++i], modules)) {
-        return bad_value(arg, argv[i], kCount);
+      if (!parse_uint(argv[++i], modules) || modules > kMaxFabricModules) {
+        return bad_value(arg, argv[i], "a module count of at most 256");
       }
     } else if (arg == "--shards" && has_value) {
       if (!parse_uint(argv[++i], shards)) {
@@ -436,11 +444,22 @@ int main(int argc, char** argv) {
     topo.traffic_prototype = spec;
     topo.flight.sample_every = sample_every;
     if (config.edge_faults) topo.link_faults = config.edge_faults;
-    fabric::FabricTestbed bed(topo, [&registry, &app_name] {
-      return registry.create(app_name, net::BytesView{});
-    });
-    const auto run = bed.run();
-    const auto& xbar = bed.crossbar();
+    // A topology the library rejects, or one too large for this host, is
+    // an error report, not an escaped exception.
+    std::unique_ptr<fabric::FabricTestbed> bed;
+    fabric::FabricRunResult run;
+    try {
+      bed = std::make_unique<fabric::FabricTestbed>(
+          topo, [&registry, &app_name] {
+            return registry.create(app_name, net::BytesView{});
+          });
+      run = bed->run();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "flexsfp-stats: fabric run failed: %s\n",
+                   e.what());
+      return 1;
+    }
+    const auto& xbar = bed->crossbar();
 
     if (json) {
       std::string doc = "{\"app\":\"" + app_name +
