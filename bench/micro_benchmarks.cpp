@@ -9,6 +9,7 @@
 #include "apps/acl.hpp"
 #include "apps/load_balancer.hpp"
 #include "apps/nat.hpp"
+#include "apps/softwire.hpp"
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
 #include "net/packet_pool.hpp"
@@ -71,20 +72,105 @@ void BM_NatProcess(benchmark::State& state) {
 }
 BENCHMARK(BM_NatProcess);
 
-void BM_ExactMatchLookup(benchmark::State& state) {
+// Exact-match probes on the NAT and softwire geometry: a 32,768-entry 4-way
+// table, half full, probed with Zipf(1.0)-popular keys. `hit` probes
+// resident keys, `miss` absent keys of the same popularity.
+void BM_ExactMatchLookup(benchmark::State& state, bool hit) {
   ppe::ExactMatchTable table("t", 32768, 32, 64);
   sim::Rng rng(1);
-  std::vector<std::uint64_t> keys;
-  for (int i = 0; i < 30000; ++i) {
+  std::vector<std::uint64_t> present;
+  std::vector<std::uint64_t> absent;
+  while (present.size() < 16384) {
     const auto key = rng.next_u64();
-    if (table.insert(key, key)) keys.push_back(key);
+    if (table.insert(key, key)) present.push_back(key);
+  }
+  while (absent.size() < present.size()) {
+    const auto key = rng.next_u64();
+    if (!table.lookup(key)) absent.push_back(key);
+  }
+  const sim::ZipfDistribution zipf(present.size(), 1.0);
+  std::vector<std::uint64_t> probes(std::size_t{1} << 16);
+  for (auto& probe : probes) {
+    probe = (hit ? present : absent)[zipf.sample(rng) - 1];
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookup(keys[i++ % keys.size()]));
+    benchmark::DoNotOptimize(table.lookup(probes[i++ & (probes.size() - 1)]));
   }
 }
-BENCHMARK(BM_ExactMatchLookup);
+BENCHMARK_CAPTURE(BM_ExactMatchLookup, hit, true);
+BENCHMARK_CAPTURE(BM_ExactMatchLookup, miss, false);
+
+// LwAftr::process on softwire_churn-shaped traffic: the softwire-edge AFTR
+// (32,768-lease tables) holding 16,384 subscribers, 64 PSIDs per address;
+// a 7:4:1 IMIX of 64/594/1518-byte UDP frames with zero checksums, to a
+// Zipf(1.0)-popular subscriber and a random port of its set. `down` runs
+// internet-to-subscriber frames (encapsulated), `up` the B4's tunnel frames
+// (decapsulated). One iteration restores a frame from its template into a
+// reused buffer, then processes it.
+void BM_LwAftrProcess(benchmark::State& state, bool upstream) {
+  constexpr apps::PsidParams params{6, 6};
+  constexpr std::size_t subscribers = 16384;
+  constexpr std::size_t psids_per_addr = 64;
+  apps::LwAftrConfig config;
+  config.aftr_addr = *net::Ipv6Address::parse("2001:db8:ffff::1");
+  config.icmp_src = net::Ipv4Address::from_octets(192, 0, 2, 1);
+  config.binding_capacity = 32768;
+  config.miss_action = apps::SoftwireMissAction::punt;
+  apps::LwAftr aftr(config);
+  const auto address = [](std::size_t g) {
+    return net::Ipv4Address{
+        net::Ipv4Address::from_octets(198, 18, 0, 0).value() +
+        static_cast<std::uint32_t>(g / psids_per_addr)};
+  };
+  const auto b4 = [](std::size_t g) {
+    return net::Ipv6Address::from_u64_pair(0x20010db8'00000000ull,
+                                           std::uint64_t(g) + 1);
+  };
+  for (std::size_t g = 0; g < subscribers; ++g) {
+    aftr.add_binding(address(g), std::uint16_t(g % psids_per_addr), params,
+                     b4(g));
+  }
+  const net::Ipv4Address remote = net::Ipv4Address::from_octets(192, 0, 2, 1);
+  const sim::ZipfDistribution zipf(subscribers, 1.0);
+  sim::Rng rng(1);
+  std::vector<net::Bytes> frames(4096);
+  for (auto& frame : frames) {
+    const std::size_t g = zipf.sample(rng) - 1;
+    const std::uint64_t pick = rng.uniform(0, 11);
+    const std::size_t size = pick < 7 ? 64 : pick < 11 ? 594 : 1518;
+    std::uint16_t port = 0;
+    do {
+      port = apps::port_for_index(
+          params, std::uint16_t(g % psids_per_addr),
+          std::uint32_t(rng.uniform(0, apps::port_set_size(params) - 1)));
+    } while (port == net::VxlanHeader::udp_port);
+    frame = net::PacketBuilder()
+                .ethernet(net::MacAddress::from_u64(0x02000000aa02),
+                          net::MacAddress::from_u64(0x02000000aa01))
+                .ipv4(upstream ? address(g) : remote,
+                      upstream ? remote : address(g), net::IpProto::udp)
+                .udp(upstream ? port : 9999, upstream ? 9999 : port)
+                .min_frame_size(size)
+                .payload_size(size - 42)
+                .build();
+    net::write_be16(frame, 40, 0);  // zero UDP checksum
+    if (upstream) {
+      net::encapsulate_ipv4_in_ipv6(frame, b4(g), config.aftr_addr);
+    }
+  }
+  net::Packet packet{frames[0]};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    packet.data() = frames[i++ & (frames.size() - 1)];
+    ppe::PacketContext ctx(packet);
+    benchmark::DoNotOptimize(aftr.process(ctx));
+    benchmark::DoNotOptimize(packet.data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_LwAftrProcess, down, false);
+BENCHMARK_CAPTURE(BM_LwAftrProcess, up, true);
 
 void BM_TernaryMatch(benchmark::State& state) {
   apps::AclFirewall acl;

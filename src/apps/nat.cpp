@@ -4,108 +4,39 @@
 
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
+#include "net/wire_layout.hpp"
 #include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
 namespace {
 
-// Wire layouts of the headers the byte-peek fast path reads. Every field is
-// a byte array, so the structs have no padding and offsetof gives the RFC
-// byte offsets; only the offsets are used, never the structs.
-struct EthernetWire {  // IEEE 802.3, untagged
-  std::uint8_t dst[6], src[6], ether_type[2];
-};
-struct Ipv4Wire {  // RFC 791, without options
-  std::uint8_t version_ihl, tos, total_length[2], identification[2],
-      flags_fragment[2], ttl, protocol, checksum[2], src[4], dst[4];
-};
-struct TcpWire {  // RFC 9293, without options
-  std::uint8_t src_port[2], dst_port[2], seq[4], ack[4], data_offset,
-      flags, window[2], checksum[2], urgent[2];
-};
-struct UdpWire {  // RFC 768
-  std::uint8_t src_port[2], dst_port[2], length[2], checksum[2];
-};
-static_assert(sizeof(EthernetWire) == net::EthernetHeader::size());
-static_assert(sizeof(Ipv4Wire) == net::Ipv4Header::min_size());
-static_assert(sizeof(TcpWire) == net::TcpHeader::min_size());
-static_assert(sizeof(UdpWire) == net::UdpHeader::size());
+using net::wire::L4Shape;
 
 // Absolute frame offsets of the fast-path shape: L3 right after an untagged
 // Ethernet header, L4 right after a 20-byte IPv4 header.
-constexpr std::size_t kL3 = net::EthernetHeader::size();
-constexpr std::size_t kL4 = kL3 + net::Ipv4Header::min_size();
-constexpr std::size_t kEtherType = offsetof(EthernetWire, ether_type);
-constexpr std::size_t kIpv4VersionIhl = kL3 + offsetof(Ipv4Wire, version_ihl);
-constexpr std::size_t kIpv4FlagsFragment =
-    kL3 + offsetof(Ipv4Wire, flags_fragment);
-constexpr std::size_t kIpv4Protocol = kL3 + offsetof(Ipv4Wire, protocol);
-constexpr std::size_t kIpv4Checksum = kL3 + offsetof(Ipv4Wire, checksum);
-constexpr std::size_t kIpv4Src = kL3 + offsetof(Ipv4Wire, src);
-constexpr std::size_t kIpv4Dst = kL3 + offsetof(Ipv4Wire, dst);
-constexpr std::size_t kTcpDataOffset = kL4 + offsetof(TcpWire, data_offset);
-constexpr std::size_t kTcpChecksum = kL4 + offsetof(TcpWire, checksum);
-constexpr std::size_t kUdpDstPort = kL4 + offsetof(UdpWire, dst_port);
-constexpr std::size_t kUdpChecksum = kL4 + offsetof(UdpWire, checksum);
-static_assert(kL3 == 14 && kL4 == 34);
-static_assert(kEtherType == 12);
-static_assert(kIpv4VersionIhl == 14);
-static_assert(kIpv4FlagsFragment == 20);
-static_assert(kIpv4Protocol == 23);
-static_assert(kIpv4Checksum == 24);
+constexpr std::size_t kL4 = net::wire::kL3 + sizeof(net::wire::Ipv4Wire);
+constexpr std::size_t kIpv4Checksum =
+    net::wire::kL3 + net::wire::kIpv4Checksum;
+constexpr std::size_t kIpv4Src = net::wire::kL3 + net::wire::kIpv4Src;
+constexpr std::size_t kIpv4Dst = net::wire::kL3 + net::wire::kIpv4Dst;
+constexpr std::size_t kTcpChecksum = kL4 + net::wire::kTcpChecksum;
+constexpr std::size_t kUdpChecksum = kL4 + net::wire::kUdpChecksum;
+static_assert(kL4 == 34 && kIpv4Checksum == 24);
 static_assert(kIpv4Src == 26 && kIpv4Dst == 30);
-static_assert(kTcpDataOffset == 46 && kTcpChecksum == 50);
-static_assert(kUdpDstPort == 36 && kUdpChecksum == 40);
-
-// Byte-peek classification. kSlowPath means "use the full parser"; the
-// fast shapes are frames where parse_packet is GUARANTEED to succeed with
-// the fixed offsets above: untagged Ethernet + IPv4 (version 4, ihl 5, not
-// a fragment) carrying either TCP with a 20-byte header or UDP not on the
-// VXLAN port, with every header fully present. Anything else — VLAN tags,
-// IPv6, options, fragments, GRE/ICMP/other protocols, VXLAN's UDP port,
-// truncations — falls back to the parser, so the fast path can never
-// classify a frame differently than the parser would.
-enum class Shape : std::uint8_t { slow_path, tcp, udp };
-
-Shape fast_path_shape(const net::Bytes& b) {
-  if (b.size() < kL4) return Shape::slow_path;
-  if (net::read_be16(b, kEtherType) !=
-      static_cast<std::uint16_t>(net::EtherType::ipv4)) {
-    return Shape::slow_path;
-  }
-  if (b[kIpv4VersionIhl] != 0x45) return Shape::slow_path;  // v4, no options
-  // Any of MF or the fragment offset set: a fragment. DF may be set.
-  if ((net::read_be16(b, kIpv4FlagsFragment) & 0x3fff) != 0) {
-    return Shape::slow_path;
-  }
-  const std::uint8_t proto = b[kIpv4Protocol];
-  if (proto == static_cast<std::uint8_t>(net::IpProto::tcp)) {
-    if (b.size() < kL4 + sizeof(TcpWire)) return Shape::slow_path;
-    if ((b[kTcpDataOffset] >> 4) != 5) return Shape::slow_path;  // options
-    return Shape::tcp;
-  }
-  if (proto == static_cast<std::uint8_t>(net::IpProto::udp)) {
-    if (b.size() < kL4 + sizeof(UdpWire)) return Shape::slow_path;
-    if (net::read_be16(b, kUdpDstPort) == net::VxlanHeader::udp_port) {
-      return Shape::slow_path;  // parse_packet would attempt VXLAN decap
-    }
-    return Shape::udp;
-  }
-  return Shape::slow_path;
-}
+static_assert(kTcpChecksum == 50 && kUdpChecksum == 40);
 
 // The exact edits rewrite_ipv4_src/dst make on a fast-path frame: the
 // address write plus RFC 1624 incremental patches of the IPv4 checksum and
 // the L4 pseudo-header checksum (a zero UDP checksum means "none" and stays).
-void rewrite_fast_path(net::Bytes& b, Shape shape, std::size_t addr_offset,
+void rewrite_fast_path(net::Bytes& b, L4Shape shape, std::size_t addr_offset,
                        std::uint32_t old_value, std::uint32_t new_value) {
   if (old_value == new_value) return;
   net::write_be32(b, addr_offset, new_value);
   net::write_be16(b, kIpv4Checksum,
                   net::checksum_incremental_update32(
                       net::read_be16(b, kIpv4Checksum), old_value, new_value));
-  if (shape == Shape::tcp) {
+  if (shape == L4Shape::tcp) {
     net::write_be16(b, kTcpChecksum,
                     net::checksum_incremental_update32(
                         net::read_be16(b, kTcpChecksum), old_value, new_value));
@@ -151,10 +82,10 @@ ppe::Verdict StaticNat::process(ppe::PacketContext& ctx) {
   const std::size_t addr_offset = source ? kIpv4Src : kIpv4Dst;
   const std::size_t size = ctx.packet().size();
   // Plain frames skip the full parse: their match address sits at a fixed
-  // offset and parse_packet is guaranteed to agree.
-  const Shape shape = fast_path_shape(ctx.packet().data());
+  // offset and parse_packet is guaranteed to agree (net/wire_layout.hpp).
+  const L4Shape shape = net::wire::ipv4_frame_shape(ctx.packet().data());
   std::uint32_t match = 0;
-  if (shape != Shape::slow_path) {
+  if (shape != L4Shape::slow_path) {
     match = net::read_be32(ctx.packet().data(), addr_offset);
   } else {
     const auto& parsed = ctx.parsed();
@@ -177,7 +108,7 @@ ppe::Verdict StaticNat::process(ppe::PacketContext& ctx) {
   }
 
   const auto translated = static_cast<std::uint32_t>(*hit);
-  if (shape != Shape::slow_path) {
+  if (shape != L4Shape::slow_path) {
     rewrite_fast_path(ctx.bytes(), shape, addr_offset, match, translated);
   } else {
     const auto& parsed = ctx.parsed();

@@ -5,17 +5,14 @@
 
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
+#include "net/wire_layout.hpp"
 #include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
 namespace {
 
-// IPv6 fixed-header field offsets relative to the L3 start (hairpinning
-// rewrites these in place instead of decap + re-encap).
-constexpr std::size_t kV6HopLimit = 7;
-constexpr std::size_t kV6Src = 8;
-constexpr std::size_t kV6Dst = 24;
+namespace wire = net::wire;
 
 std::uint64_t pack_psid_params(PsidParams params) {
   return (std::uint64_t{params.psid_offset} << 8) | params.psid_len;
@@ -40,19 +37,18 @@ std::optional<std::uint16_t> transport_port(const net::IpLayer& layer,
   return std::nullopt;
 }
 
-/// Inner IPv4 packet of a softwire frame (the parser stops at the IPv6
-/// next-header, so the tunnel payload is re-parsed here at l3 + 40).
-struct InnerV4 {
-  net::Ipv4Header ip;
-  std::optional<std::uint16_t> src_port;
-  std::optional<std::uint16_t> dst_port;
-};
+bool is_fragment(const net::Ipv4Header& ip) {
+  return ip.more_fragments || ip.fragment_offset != 0;
+}
 
-std::optional<InnerV4> parse_inner_ipv4(const net::Bytes& frame,
-                                        std::size_t offset) {
+/// The parser stops at the IPv6 next-header, so the tunnel payload is
+/// re-parsed here at l3 + 40.
+std::optional<SoftwireInner> parse_inner_ipv4(const net::Bytes& frame,
+                                              std::size_t offset) {
   const auto ip = net::Ipv4Header::parse(frame, offset);
   if (!ip) return std::nullopt;
-  InnerV4 inner{*ip, std::nullopt, std::nullopt};
+  SoftwireInner inner{ip->src, ip->dst, is_fragment(*ip), std::nullopt,
+                      std::nullopt};
   const std::size_t l4 = offset + ip->size();
   switch (static_cast<net::IpProto>(ip->protocol)) {
     case net::IpProto::tcp:
@@ -75,8 +71,24 @@ std::optional<InnerV4> parse_inner_ipv4(const net::Bytes& frame,
   return inner;
 }
 
-bool is_fragment(const net::Ipv4Header& ip) {
-  return ip.more_fragments || ip.fragment_offset != 0;
+/// Byte-peek test for the common upstream frame: untagged Ethernet, a
+/// fully present IPv6 header (version 6, next-header 4) addressed to
+/// `aftr`, and an inner IPv4 packet of a fast shape at wire::kTunnelL3. For
+/// such a frame parse_packet succeeds with the IPv6 layer at wire::kL3, and
+/// parse_inner_ipv4 finds a non-fragment with both ports at fixed offsets.
+bool upstream_fast_shape(const net::Bytes& b, const net::Ipv6Address& aftr) {
+  if (!wire::untagged_ether_type(b, net::EtherType::ipv6) ||
+      b.size() < wire::kTunnelL3) {
+    return false;
+  }
+  if ((b[wire::kL3 + wire::kIpv6VersionClassFlow] >> 4) != 6 ||
+      b[wire::kL3 + wire::kIpv6NextHeader] !=
+          static_cast<std::uint8_t>(net::IpProto::ipv4_encap) ||
+      !std::equal(aftr.octets().begin(), aftr.octets().end(),
+                  b.begin() + wire::kL3 + wire::kIpv6Dst)) {
+    return false;
+  }
+  return wire::ipv4_shape(b, wire::kTunnelL3) != wire::L4Shape::slow_path;
 }
 
 }  // namespace
@@ -219,10 +231,15 @@ ppe::Verdict LwAftr::process_ipv4(ppe::PacketContext& ctx) {
   }
   const auto port = transport_port(parsed.outer, /*source=*/false);
   if (!port) return miss_verdict(ctx);
-  const auto slot = match_subscriber(ip.dst, *port);
+  return encapsulate(ctx, parsed.outer.l3_offset, ip.dst, *port);
+}
+
+ppe::Verdict LwAftr::encapsulate(ppe::PacketContext& ctx, std::size_t l3,
+                                 net::Ipv4Address dst, std::uint16_t port) {
+  const auto slot = match_subscriber(dst, port);
   if (!slot) return miss_verdict(ctx);
   if (!net::encapsulate_ipv4_in_ipv6(
-          ctx.bytes(), config_.aftr_addr,
+          ctx.bytes(), l3, config_.aftr_addr,
           b4_slots_[static_cast<std::size_t>(*slot)],
           config_.tunnel_hop_limit)) {
     stats_.add(stat_malformed, ctx.packet().size());
@@ -235,7 +252,7 @@ ppe::Verdict LwAftr::process_ipv4(ppe::PacketContext& ctx) {
 
 ppe::Verdict LwAftr::process_ipv6(ppe::PacketContext& ctx) {
   const auto& parsed = ctx.parsed();
-  const net::Ipv6Header ip6 = *parsed.outer.ipv6;
+  const net::Ipv6Header& ip6 = *parsed.outer.ipv6;
   if (ip6.dst != config_.aftr_addr ||
       ip6.next_header != static_cast<std::uint8_t>(net::IpProto::ipv4_encap)) {
     stats_.add(stat_passthrough, ctx.packet().size());
@@ -247,56 +264,86 @@ ppe::Verdict LwAftr::process_ipv6(ppe::PacketContext& ctx) {
     stats_.add(stat_malformed, ctx.packet().size());
     return ppe::Verdict::drop;
   }
-  if (is_fragment(inner->ip)) {
+  if (inner->fragment) {
     stats_.add(stat_fragments_rejected, ctx.packet().size());
     return ppe::Verdict::drop;
   }
+  return decapsulate(ctx, l3, *inner);
+}
+
+ppe::Verdict LwAftr::decapsulate(ppe::PacketContext& ctx, std::size_t l3,
+                                 const SoftwireInner& inner) {
+  net::Bytes& b = ctx.bytes();
   // Anti-spoof (RFC 7596 §5.1): the inner source (address, port) must map
   // to a lease whose B4 is exactly the outer IPv6 source.
-  const auto pm = psid_map_.lookup(inner->ip.src.value());
-  if (!pm || !inner->src_port) {
-    stats_.add(stat_antispoof_dropped, ctx.packet().size());
+  const auto pm = psid_map_.lookup(inner.src.value());
+  if (!pm || !inner.src_port) {
+    stats_.add(stat_antispoof_dropped, b.size());
     return ppe::Verdict::drop;
   }
   const PsidParams params = unpack_psid_params(*pm);
-  const std::uint16_t sport = *inner->src_port;
+  const std::uint16_t sport = *inner.src_port;
   if (port_excluded(params, sport)) {
-    stats_.add(stat_antispoof_dropped, ctx.packet().size());
+    stats_.add(stat_antispoof_dropped, b.size());
     return ppe::Verdict::drop;
   }
   const auto slot =
-      binding_.lookup(binding_key(inner->ip.src, psid_of_port(params, sport)));
-  if (!slot || b4_slots_[static_cast<std::size_t>(*slot)] != ip6.src) {
-    stats_.add(stat_antispoof_dropped, ctx.packet().size());
+      binding_.lookup(binding_key(inner.src, psid_of_port(params, sport)));
+  const auto* lease =
+      slot ? &b4_slots_[static_cast<std::size_t>(*slot)].octets() : nullptr;
+  const auto outer_src =
+      b.begin() + static_cast<std::ptrdiff_t>(l3 + wire::kIpv6Src);
+  if (lease == nullptr ||
+      !std::equal(lease->begin(), lease->end(), outer_src)) {
+    stats_.add(stat_antispoof_dropped, b.size());
     return ppe::Verdict::drop;
   }
-  if (config_.hairpin && inner->dst_port) {
-    if (const auto peer = match_subscriber(inner->ip.dst, *inner->dst_port)) {
+  if (config_.hairpin && inner.dst_port) {
+    if (const auto peer = match_subscriber(inner.dst, *inner.dst_port)) {
       // Subscriber-to-subscriber: re-aim the existing tunnel header at the
       // peer's B4 instead of decapsulating — three in-place field writes.
-      net::Bytes& b = ctx.bytes();
-      net::write_u8(b, l3 + kV6HopLimit, config_.tunnel_hop_limit);
+      net::write_u8(b, l3 + wire::kIpv6HopLimit, config_.tunnel_hop_limit);
       const auto& peer_b4 = b4_slots_[static_cast<std::size_t>(*peer)];
       std::copy(config_.aftr_addr.octets().begin(),
-                config_.aftr_addr.octets().end(),
-                b.begin() + static_cast<std::ptrdiff_t>(l3 + kV6Src));
+                config_.aftr_addr.octets().end(), outer_src);
       std::copy(peer_b4.octets().begin(), peer_b4.octets().end(),
-                b.begin() + static_cast<std::ptrdiff_t>(l3 + kV6Dst));
+                b.begin() + static_cast<std::ptrdiff_t>(l3 + wire::kIpv6Dst));
       ctx.invalidate_parse();
-      stats_.add(stat_hairpinned, ctx.packet().size());
+      stats_.add(stat_hairpinned, b.size());
       return ppe::Verdict::forward;
     }
   }
-  if (!net::decapsulate_ipv4_in_ipv6(ctx.bytes())) {
-    stats_.add(stat_malformed, ctx.packet().size());
+  if (!net::decapsulate_ipv4_in_ipv6(b, l3)) {
+    stats_.add(stat_malformed, b.size());
     return ppe::Verdict::drop;
   }
   ctx.invalidate_parse();
-  stats_.add(stat_decapsulated, ctx.packet().size());
+  stats_.add(stat_decapsulated, b.size());
   return ppe::Verdict::forward;
 }
 
 ppe::Verdict LwAftr::process(ppe::PacketContext& ctx) {
+  // The common shapes skip the full parse: their addresses and ports sit at
+  // fixed offsets and parse_packet is guaranteed to agree (wire_layout.hpp).
+  const net::Bytes& b = ctx.packet().data();
+  if (wire::ipv4_frame_shape(b) != wire::L4Shape::slow_path) {
+    constexpr std::size_t l4 = wire::kL3 + sizeof(wire::Ipv4Wire);
+    return encapsulate(
+        ctx, wire::kL3,
+        net::Ipv4Address{net::read_be32(b, wire::kL3 + wire::kIpv4Dst)},
+        net::read_be16(b, l4 + wire::kL4DstPort));
+  }
+  if (upstream_fast_shape(b, config_.aftr_addr)) {
+    constexpr std::size_t inner = wire::kTunnelL3;
+    constexpr std::size_t l4 = inner + sizeof(wire::Ipv4Wire);
+    return decapsulate(
+        ctx, wire::kL3,
+        SoftwireInner{
+            net::Ipv4Address{net::read_be32(b, inner + wire::kIpv4Src)},
+            net::Ipv4Address{net::read_be32(b, inner + wire::kIpv4Dst)},
+            /*fragment=*/false, net::read_be16(b, l4 + wire::kL4SrcPort),
+            net::read_be16(b, l4 + wire::kL4DstPort)});
+  }
   const auto& parsed = ctx.parsed();
   if (!parsed.ok()) {
     stats_.add(stat_malformed, ctx.packet().size());
@@ -558,8 +605,8 @@ ppe::Verdict LwB4::process(ppe::PacketContext& ctx) {
       stats_.add(stat_port_out_of_set, ctx.packet().size());
       return ppe::Verdict::drop;
     }
-    if (!net::encapsulate_ipv4_in_ipv6(ctx.bytes(), config_.b4_addr,
-                                       config_.aftr_addr,
+    if (!net::encapsulate_ipv4_in_ipv6(ctx.bytes(), parsed.outer.l3_offset,
+                                       config_.b4_addr, config_.aftr_addr,
                                        config_.tunnel_hop_limit)) {
       stats_.add(stat_malformed, ctx.packet().size());
       return ppe::Verdict::drop;
@@ -576,21 +623,22 @@ ppe::Verdict LwB4::process(ppe::PacketContext& ctx) {
       stats_.add(stat_passthrough, ctx.packet().size());
       return ppe::Verdict::forward;
     }
-    const auto inner = parse_inner_ipv4(
-        ctx.bytes(), parsed.outer.l3_offset + net::Ipv6Header::size());
+    const std::size_t l3 = parsed.outer.l3_offset;
+    const auto inner =
+        parse_inner_ipv4(ctx.bytes(), l3 + net::Ipv6Header::size());
     if (!inner) {
       stats_.add(stat_malformed, ctx.packet().size());
       return ppe::Verdict::drop;
     }
     // RFC 7596 §6: the B4 validates the downstream destination port against
     // its own restricted set before handing the packet to the NAPT44.
-    if (!is_fragment(inner->ip) &&
+    if (!inner->fragment &&
         (!inner->dst_port ||
          !port_in_set(config_.params, config_.psid, *inner->dst_port))) {
       stats_.add(stat_port_out_of_set, ctx.packet().size());
       return ppe::Verdict::drop;
     }
-    if (!net::decapsulate_ipv4_in_ipv6(ctx.bytes())) {
+    if (!net::decapsulate_ipv4_in_ipv6(ctx.bytes(), l3)) {
       stats_.add(stat_malformed, ctx.packet().size());
       return ppe::Verdict::drop;
     }

@@ -97,6 +97,17 @@ struct PsidParams {
 
 // --- LwAftr ----------------------------------------------------------------
 
+/// Inner IPv4 flow of a lw4o6 tunnel frame: what the AFTR's anti-spoof
+/// check and hairpin match, and the B4's port check, read. Ports are the
+/// TCP/UDP ports or the ICMP echo identifier; nullopt when absent.
+struct SoftwireInner {
+  net::Ipv4Address src;
+  net::Ipv4Address dst;
+  bool fragment = false;
+  std::optional<std::uint16_t> src_port;
+  std::optional<std::uint16_t> dst_port;
+};
+
 enum class SoftwireMissAction : std::uint8_t {
   drop = 0,
   punt = 1,         // hand to the embedded control plane
@@ -196,6 +207,18 @@ class LwAftr final : public ppe::PpeApp {
   [[nodiscard]] ppe::Verdict miss_verdict(ppe::PacketContext& ctx);
   [[nodiscard]] ppe::Verdict process_ipv6(ppe::PacketContext& ctx);
   [[nodiscard]] ppe::Verdict process_ipv4(ppe::PacketContext& ctx);
+  /// Map (dst, port) to a lease and encapsulate the IPv4 packet at `l3`
+  /// toward its B4, or take the miss action. Shared by the byte-peek and
+  /// the parser paths, which differ only in how they found the fields.
+  [[nodiscard]] ppe::Verdict encapsulate(ppe::PacketContext& ctx,
+                                         std::size_t l3, net::Ipv4Address dst,
+                                         std::uint16_t port);
+  /// Anti-spoof, then hairpin or decapsulate the tunnel frame whose IPv6
+  /// header (already checked: next-header 4, destination aftr_addr) is at
+  /// `l3` and whose inner packet is a non-fragment `inner`.
+  [[nodiscard]] ppe::Verdict decapsulate(ppe::PacketContext& ctx,
+                                         std::size_t l3,
+                                         const SoftwireInner& inner);
   /// binding-table hit for (addr, port-derived psid), or nullopt.
   [[nodiscard]] std::optional<std::uint64_t> match_subscriber(
       net::Ipv4Address addr, std::uint16_t port) const;

@@ -255,30 +255,40 @@ Packet PacketBuilder::build_packet() const { return Packet{build()}; }
 
 namespace {
 
-// Rebuild an IPv4 delivery header in front of `inner_ip_bytes` and glue the
-// original Ethernet header on top. Shared by GRE and IP-in-IP encap.
-Bytes wrap_in_ipv4(BytesView l2, BytesView inner, Ipv4Address tunnel_src,
-                   Ipv4Address tunnel_dst, IpProto proto, std::uint8_t ttl,
-                   BytesView shim = {}) {
+// Largest IPv4 total_length or IPv6 payload_length: a tunnel edit whose
+// result would not fit a 16-bit length field fails instead of wrapping it.
+constexpr std::size_t kMaxLength16 = 0xffff;
+
+// Put an IPv4 delivery header (plus an optional shim such as GRE) in front
+// of the IP packet at `l3`, keeping the bytes before it as L2. Shared by GRE
+// and IP-in-IP encap. False (frame untouched) when the delivery packet would
+// exceed 65,535 bytes.
+bool wrap_in_ipv4(Bytes& frame, std::size_t l3, Ipv4Address tunnel_src,
+                  Ipv4Address tunnel_dst, IpProto proto, std::uint8_t ttl,
+                  BytesView shim = {}) {
+  const BytesView l2{frame.data(), l3};
+  const BytesView inner{frame.data() + l3, frame.size() - l3};
   Ipv4Header outer;
+  const std::size_t total = outer.size() + shim.size() + inner.size();
+  if (total > kMaxLength16) return false;
   outer.src = tunnel_src;
   outer.dst = tunnel_dst;
   outer.protocol = static_cast<std::uint8_t>(proto);
   outer.ttl = ttl;
-  outer.total_length = static_cast<std::uint16_t>(
-      outer.size() + shim.size() + inner.size());
+  outer.total_length = static_cast<std::uint16_t>(total);
 
-  Bytes frame(l2.size() + outer.size() + shim.size() + inner.size());
-  std::copy(l2.begin(), l2.end(), frame.begin());
-  outer.serialize_to(frame, l2.size());
+  Bytes out(l2.size() + total);
+  std::copy(l2.begin(), l2.end(), out.begin());
+  outer.serialize_to(out, l2.size());
   const std::uint16_t checksum = outer.compute_checksum();
-  write_be16(frame, l2.size() + 10, checksum);
+  write_be16(out, l2.size() + 10, checksum);
   std::copy(shim.begin(), shim.end(),
-            frame.begin() + static_cast<std::ptrdiff_t>(l2.size() + outer.size()));
+            out.begin() + static_cast<std::ptrdiff_t>(l2.size() + outer.size()));
   std::copy(inner.begin(), inner.end(),
-            frame.begin() + static_cast<std::ptrdiff_t>(l2.size() + outer.size() +
-                                                        shim.size()));
-  return frame;
+            out.begin() + static_cast<std::ptrdiff_t>(l2.size() + outer.size() +
+                                                      shim.size()));
+  frame = std::move(out);
+  return true;
 }
 
 }  // namespace
@@ -287,36 +297,29 @@ bool encapsulate_gre(Bytes& frame, Ipv4Address tunnel_src,
                      Ipv4Address tunnel_dst, std::uint8_t ttl) {
   const auto parsed = parse_packet(frame, {.parse_tunnels = false});
   if (!parsed.ok() || !parsed.outer.ipv4) return false;
-  const std::size_t l3 = parsed.outer.l3_offset;
   std::uint8_t shim[GreHeader::size()];
   GreHeader gre;
   gre.protocol = static_cast<std::uint16_t>(EtherType::ipv4);
   gre.serialize_to(BytesSpan{shim, sizeof shim}, 0);
-  frame = wrap_in_ipv4(BytesView{frame.data(), l3},
-                       BytesView{frame.data() + l3, frame.size() - l3},
-                       tunnel_src, tunnel_dst, IpProto::gre, ttl,
-                       BytesView{shim, sizeof shim});
-  return true;
+  return wrap_in_ipv4(frame, parsed.outer.l3_offset, tunnel_src, tunnel_dst,
+                      IpProto::gre, ttl, BytesView{shim, sizeof shim});
 }
 
 bool encapsulate_ipip(Bytes& frame, Ipv4Address tunnel_src,
                       Ipv4Address tunnel_dst, std::uint8_t ttl) {
   const auto parsed = parse_packet(frame, {.parse_tunnels = false});
   if (!parsed.ok() || !parsed.outer.ipv4) return false;
-  const std::size_t l3 = parsed.outer.l3_offset;
-  frame = wrap_in_ipv4(BytesView{frame.data(), l3},
-                       BytesView{frame.data() + l3, frame.size() - l3},
-                       tunnel_src, tunnel_dst, IpProto::ipv4_encap, ttl);
-  return true;
+  return wrap_in_ipv4(frame, parsed.outer.l3_offset, tunnel_src, tunnel_dst,
+                      IpProto::ipv4_encap, ttl);
 }
 
-bool encapsulate_ipv4_in_ipv6(Bytes& frame, const Ipv6Address& tunnel_src,
+bool encapsulate_ipv4_in_ipv6(Bytes& frame, std::size_t l3,
+                              const Ipv6Address& tunnel_src,
                               const Ipv6Address& tunnel_dst,
                               std::uint8_t hop_limit) {
-  const auto parsed = parse_packet(frame, {.parse_tunnels = false});
-  if (!parsed.ok() || !parsed.outer.ipv4) return false;
-  const std::size_t l3 = parsed.outer.l3_offset;
-
+  if (l3 < 2 || l3 > frame.size() || frame.size() - l3 > kMaxLength16) {
+    return false;
+  }
   Ipv6Header outer;
   outer.src = tunnel_src;
   outer.dst = tunnel_dst;
@@ -334,15 +337,17 @@ bool encapsulate_ipv4_in_ipv6(Bytes& frame, const Ipv6Address& tunnel_src,
   return true;
 }
 
-bool decapsulate_ipv4_in_ipv6(Bytes& frame) {
+bool encapsulate_ipv4_in_ipv6(Bytes& frame, const Ipv6Address& tunnel_src,
+                              const Ipv6Address& tunnel_dst,
+                              std::uint8_t hop_limit) {
   const auto parsed = parse_packet(frame, {.parse_tunnels = false});
-  if (!parsed.ok() || !parsed.outer.ipv6 ||
-      parsed.outer.ipv6->next_header !=
-          static_cast<std::uint8_t>(IpProto::ipv4_encap)) {
-    return false;
-  }
-  const std::size_t l3 = parsed.outer.l3_offset;
-  if (frame.size() < l3 + Ipv6Header::size()) return false;
+  if (!parsed.ok() || !parsed.outer.ipv4) return false;
+  return encapsulate_ipv4_in_ipv6(frame, parsed.outer.l3_offset, tunnel_src,
+                                  tunnel_dst, hop_limit);
+}
+
+bool decapsulate_ipv4_in_ipv6(Bytes& frame, std::size_t l3) {
+  if (l3 < 2 || frame.size() < l3 + Ipv6Header::size()) return false;
   frame.erase(frame.begin() + static_cast<std::ptrdiff_t>(l3),
               frame.begin() + static_cast<std::ptrdiff_t>(l3 +
                                                           Ipv6Header::size()));
@@ -357,6 +362,10 @@ bool encapsulate_vxlan(Bytes& frame, MacAddress outer_dst, MacAddress outer_src,
   const std::size_t inner_size = frame.size();
   const std::size_t headers = EthernetHeader::size() + Ipv4Header::min_size() +
                               UdpHeader::size() + VxlanHeader::size();
+  // The IPv4 total_length covers the UDP length, so one check bounds both.
+  if (headers - EthernetHeader::size() + inner_size > kMaxLength16) {
+    return false;
+  }
   Bytes out(headers + inner_size);
 
   EthernetHeader eth;

@@ -68,35 +68,49 @@ class PacketBuilder {
 
 /// Push a GRE/IPv4 delivery header in front of the IP payload of `frame`.
 /// The original Ethernet header is kept; the original IP packet becomes the
-/// GRE payload. Returns false if the frame has no outer IPv4 layer.
+/// GRE payload. Returns false if the frame has no outer IPv4 layer or the
+/// delivery packet would exceed the 16-bit IPv4 total_length.
 bool encapsulate_gre(Bytes& frame, Ipv4Address tunnel_src,
                      Ipv4Address tunnel_dst, std::uint8_t ttl = 64);
 
 /// Push a full VXLAN stack (outer Ethernet/IPv4/UDP/VXLAN) around the whole
-/// original frame.
+/// original frame. Returns false when the outer IPv4 total_length would
+/// exceed 65,535 bytes.
 bool encapsulate_vxlan(Bytes& frame, MacAddress outer_dst, MacAddress outer_src,
                        Ipv4Address tunnel_src, Ipv4Address tunnel_dst,
                        std::uint32_t vni, std::uint16_t src_port = 49152);
 
-/// Push an IP-in-IP delivery header (protocol 4).
+/// Push an IP-in-IP delivery header (protocol 4). Same failure cases as
+/// encapsulate_gre.
 bool encapsulate_ipip(Bytes& frame, Ipv4Address tunnel_src,
                       Ipv4Address tunnel_dst, std::uint8_t ttl = 64);
 
-/// Push an IPv6 delivery header (next-header 4) in front of the frame's
-/// IPv4 packet — the lw4o6 softwire encapsulation (RFC 7596). The original
-/// Ethernet header (and any VLAN tags) are kept; the EtherType flips to
-/// IPv6. In-place: the 40-byte shim is inserted into the existing buffer,
-/// so a pooled packet's capacity is reused after the first growth. Returns
-/// false when the frame carries no outer IPv4 layer.
+/// Push an IPv6 delivery header (next-header 4) in front of the IPv4 packet
+/// that starts at `l3` — the lw4o6 softwire encapsulation (RFC 7596). The
+/// caller has already found the outer L3 offset; nothing is parsed. The
+/// bytes before `l3` (Ethernet header and any VLAN tags) are kept and the
+/// EtherType at l3 - 2 flips to IPv6. In-place: the 40-byte shim is
+/// inserted into the existing buffer, so a pooled packet's capacity is
+/// reused after the first growth. Returns false (frame untouched) when
+/// `l3` lies outside [2, frame.size()] or the frame's bytes from `l3` on
+/// do not fit the 16-bit IPv6 payload_length.
+bool encapsulate_ipv4_in_ipv6(Bytes& frame, std::size_t l3,
+                              const Ipv6Address& tunnel_src,
+                              const Ipv6Address& tunnel_dst,
+                              std::uint8_t hop_limit = 64);
+
+/// The same after locating the outer IPv4 layer with parse_packet; false
+/// when the frame carries none.
 bool encapsulate_ipv4_in_ipv6(Bytes& frame, const Ipv6Address& tunnel_src,
                               const Ipv6Address& tunnel_dst,
                               std::uint8_t hop_limit = 64);
 
-/// Strip an IPv6 delivery header whose next-header is 4, restoring the
-/// inner IPv4 packet behind the original L2 — the lw4o6 decapsulation.
-/// Allocation-free (erase + 2-byte EtherType patch). Returns false when the
-/// frame is not IPv4-in-IPv6.
-bool decapsulate_ipv4_in_ipv6(Bytes& frame);
+/// Strip the 40-byte IPv6 delivery header at `l3`, restoring the inner IPv4
+/// packet behind the original L2 — the lw4o6 decapsulation. The caller has
+/// checked that the header at `l3` is IPv6 with next-header 4; nothing is
+/// parsed. Allocation-free (erase + 2-byte EtherType patch at l3 - 2).
+/// Returns false when the frame is too short to hold the header.
+bool decapsulate_ipv4_in_ipv6(Bytes& frame, std::size_t l3);
 
 /// Strip a recognized GRE/VXLAN/IP-in-IP delivery header, restoring the
 /// inner packet as a standalone frame. Returns false when `frame` carries no

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 
 #include "net/flow.hpp"
 
@@ -25,35 +26,52 @@ ExactMatchTable::ExactMatchTable(std::string name, std::size_t capacity,
       ways_(std::max<std::size_t>(ways, 1)),
       bucket_count_(round_up_pow2((capacity + ways_ - 1) / ways_)) {}
 
-std::array<std::size_t, 2> ExactMatchTable::bucket_indices(
-    std::uint64_t key) const {
+std::size_t ExactMatchTable::first_bucket(std::uint64_t key) const {
+  return net::fnv1a_u64(key) & (bucket_count_ - 1);
+}
+
+std::size_t ExactMatchTable::second_bucket(std::uint64_t key,
+                                           std::size_t first) const {
   // Two independent hash functions: d-left / two-choice placement keeps the
   // table usable to high load factors, as hardware exact-match pipelines do
   // with dual-ported SRAM banks.
-  const std::size_t first = net::fnv1a_u64(key) & (bucket_count_ - 1);
   std::size_t second = net::murmur3_u64(key) & (bucket_count_ - 1);
   if (second == first) second = (second + 1) & (bucket_count_ - 1);
-  return {first, second};
+  return second;
+}
+
+std::size_t ExactMatchTable::find_in(std::size_t bucket,
+                                     std::uint64_t key) const {
+  const std::size_t base = bucket * ways_;
+  for (std::size_t way = 0; way < ways_; ++way) {
+    if (slot(base + way).key == key && valid_[base + way]) return base + way;
+  }
+  return no_slot;
+}
+
+std::size_t ExactMatchTable::find(std::uint64_t key) const {
+  if (size_ == 0) return no_slot;
+  const std::size_t first = first_bucket(key);
+  const std::size_t hit = find_in(first, key);
+  return hit != no_slot ? hit : find_in(second_bucket(key, first), key);
 }
 
 bool ExactMatchTable::insert(std::uint64_t key, std::uint64_t value) {
-  constexpr std::size_t no_slot = ~std::size_t{0};
   if (valid_.empty()) {
     const std::size_t slots = bucket_count_ * ways_;
-    keys_.assign(slots, 0);
-    values_.assign(slots, 0);
+    constexpr std::size_t line_slots = kLineBytes / sizeof(Slot);
+    slots_.assign(slots + line_slots - 1, Slot{});
+    const auto address = reinterpret_cast<std::uintptr_t>(slots_.data());
+    lead_ = (kLineBytes - address % kLineBytes) % kLineBytes / sizeof(Slot);
     valid_.assign(slots, 0);
   }
   const auto buckets = bucket_indices(key);
   // Pass 1: update in place, wherever the key already lives.
   for (const std::size_t bucket : buckets) {
-    const std::size_t base = bucket * ways_;
-    for (std::size_t way = 0; way < ways_; ++way) {
-      if (valid_[base + way] && keys_[base + way] == key) {
-        values_[base + way] = value;
-        ++generation_;
-        return true;
-      }
+    if (const std::size_t found = find_in(bucket, key); found != no_slot) {
+      slot(found).value = value;
+      ++generation_;
+      return true;
     }
   }
   if (size_ >= capacity_) return false;
@@ -97,8 +115,7 @@ bool ExactMatchTable::insert(std::uint64_t key, std::uint64_t value) {
       return false;
     }
   }
-  keys_[chosen] = key;
-  values_[chosen] = value;
+  slot(chosen) = Slot{key, value};
   valid_[chosen] = 1;
   ++size_;
   ++generation_;
@@ -110,27 +127,26 @@ bool ExactMatchTable::cuckoo_make_room(std::size_t bucket, int depth) {
   if (depth >= max_depth) return false;
   const std::size_t base = bucket * ways_;
   const auto relocate = [this](std::size_t from, std::size_t to) {
-    keys_[to] = keys_[from];
-    values_[to] = values_[from];
+    slot(to) = slot(from);
     valid_[to] = 1;
     valid_[from] = 0;
   };
   // Try a cheap move first: any resident whose alternate bucket has space.
   for (std::size_t way = 0; way < ways_; ++way) {
-    const std::size_t slot = base + way;
-    const auto alternates = bucket_indices(keys_[slot]);
+    const std::size_t index = base + way;
+    const auto alternates = bucket_indices(slot(index).key);
     const std::size_t other =
         alternates[0] == bucket ? alternates[1] : alternates[0];
     const std::size_t other_base = other * ways_;
     for (std::size_t other_way = 0; other_way < ways_; ++other_way) {
       if (!valid_[other_base + other_way]) {
-        relocate(slot, other_base + other_way);
+        relocate(index, other_base + other_way);
         return true;
       }
     }
   }
   // No direct move: recurse on the first victim's alternate bucket.
-  const auto alternates = bucket_indices(keys_[base]);
+  const auto alternates = bucket_indices(slot(base).key);
   const std::size_t other =
       alternates[0] == bucket ? alternates[1] : alternates[0];
   if (!cuckoo_make_room(other, depth + 1)) return false;
@@ -145,32 +161,18 @@ bool ExactMatchTable::cuckoo_make_room(std::size_t bucket, int depth) {
 }
 
 std::optional<std::uint64_t> ExactMatchTable::lookup(std::uint64_t key) const {
-  if (size_ == 0) return std::nullopt;
-  for (const std::size_t bucket : bucket_indices(key)) {
-    const std::size_t base = bucket * ways_;
-    for (std::size_t way = 0; way < ways_; ++way) {
-      if (valid_[base + way] && keys_[base + way] == key) {
-        return values_[base + way];
-      }
-    }
-  }
-  return std::nullopt;
+  const std::size_t found = find(key);
+  if (found == no_slot) return std::nullopt;
+  return slot(found).value;
 }
 
 bool ExactMatchTable::erase(std::uint64_t key) {
-  if (size_ == 0) return false;
-  for (const std::size_t bucket : bucket_indices(key)) {
-    const std::size_t base = bucket * ways_;
-    for (std::size_t way = 0; way < ways_; ++way) {
-      if (valid_[base + way] && keys_[base + way] == key) {
-        valid_[base + way] = 0;
-        --size_;
-        ++generation_;
-        return true;
-      }
-    }
-  }
-  return false;
+  const std::size_t found = find(key);
+  if (found == no_slot) return false;
+  valid_[found] = 0;
+  --size_;
+  ++generation_;
+  return true;
 }
 
 void ExactMatchTable::clear() {
@@ -181,8 +183,8 @@ void ExactMatchTable::clear() {
 
 void ExactMatchTable::for_each(
     const std::function<void(std::uint64_t, std::uint64_t)>& fn) const {
-  for (std::size_t slot = 0; slot < keys_.size(); ++slot) {
-    if (valid_[slot]) fn(keys_[slot], values_[slot]);
+  for (std::size_t index = 0; index < valid_.size(); ++index) {
+    if (valid_[index]) fn(slot(index).key, slot(index).value);
   }
 }
 

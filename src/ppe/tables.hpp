@@ -52,6 +52,7 @@ class ExactMatchTable {
   /// control-plane reader can snapshot-and-verify atomically.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
+  /// Every entry, in slot index order (bucket * ways + way).
   void for_each(
       const std::function<void(std::uint64_t, std::uint64_t)>& fn) const;
 
@@ -67,8 +68,33 @@ class ExactMatchTable {
   }
 
  private:
+  /// A key and its value side by side: a 4-way bucket of them is exactly
+  /// one 64-byte cache line, so a probe touches one line per bucket.
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint64_t value = 0;
+  };
+  static constexpr std::size_t kLineBytes = 64;
+  static constexpr std::size_t no_slot = ~std::size_t{0};
+
+  [[nodiscard]] std::size_t first_bucket(std::uint64_t key) const;
+  [[nodiscard]] std::size_t second_bucket(std::uint64_t key,
+                                          std::size_t first) const;
   [[nodiscard]] std::array<std::size_t, 2> bucket_indices(
-      std::uint64_t key) const;
+      std::uint64_t key) const {
+    const std::size_t first = first_bucket(key);
+    return {first, second_bucket(key, first)};
+  }
+  /// Slot index of `key` within `bucket`, or no_slot.
+  [[nodiscard]] std::size_t find_in(std::size_t bucket,
+                                    std::uint64_t key) const;
+  /// Slot index of `key`, or no_slot. The second bucket is hashed only
+  /// when the first does not hold the key.
+  [[nodiscard]] std::size_t find(std::uint64_t key) const;
+  [[nodiscard]] Slot& slot(std::size_t index) { return slots_[lead_ + index]; }
+  [[nodiscard]] const Slot& slot(std::size_t index) const {
+    return slots_[lead_ + index];
+  }
   /// Free one way in `bucket` by relocating residents to their alternate
   /// buckets (bounded-depth cuckoo walk). Returns false when no chain of
   /// at most max_depth moves exists.
@@ -80,14 +106,18 @@ class ExactMatchTable {
   std::uint32_t value_bits_;
   std::size_t ways_;
   std::size_t bucket_count_;
-  // SoA slot storage (bucket_count_ x ways_ slots each): a probe streams
-  // through one cache line of keys per bucket instead of striding over
-  // padded {valid,key,value} structs. Index order — and therefore for_each
-  // iteration order — is identical to the former Entry vector. Allocated by
-  // the first insert: a table that is never filled (a NAT module that only
-  // forwards on miss, as in every fabric topology) costs no slot memory.
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint64_t> values_;
+  // Slot storage, bucket_count_ x ways_ slots in index order (so for_each
+  // order is bucket by bucket, way by way). Allocated by the first insert:
+  // a table that is never filled (a NAT module that only forwards on miss,
+  // as in every fabric topology) costs no slot memory. The vector holds up
+  // to one line of extra slots, and slot 0 sits `lead_` elements in, on the
+  // first 64-byte boundary of the allocation: a plain vector is only
+  // 16-byte aligned, and an over-aligned allocation kept freed slot arrays
+  // resident in the heap. A copy keeps lead_, so it answers like the
+  // original, though its buckets may straddle lines.
+  std::vector<Slot> slots_;
+  std::size_t lead_ = 0;
+  // Read only after a key compare matches, so a miss never touches it.
   std::vector<std::uint8_t> valid_;
   std::size_t size_ = 0;
   std::uint64_t generation_ = 0;

@@ -118,6 +118,26 @@ TEST(LwAftrApp, EncapsulatesPlainUdpToTheVxlanPort) {
   EXPECT_EQ(app.stat_packets(LwAftr::stat_malformed), 0u);
 }
 
+TEST(LwAftrApp, DropsAFrameWhoseTunnelPayloadWouldOverflow) {
+  // 65,546 bytes behind L2 do not fit IPv6's 16-bit payload_length: the
+  // encapsulation fails and the AFTR counts the frame as malformed.
+  LwAftr app(aftr_config());
+  provision(app);
+  auto packet = udp_packet(ip(192, 0, 2, 50), ip(198, 51, 100, 1), 9999,
+                           port_for_index(kParams, 0, 0));
+  packet.data().resize(65560, 0x5a);
+  const net::Bytes original = packet.data();
+  EXPECT_EQ(run(app, packet), ppe::Verdict::drop);
+  EXPECT_EQ(packet.data(), original);
+  EXPECT_EQ(app.stat_packets(LwAftr::stat_malformed), 1u);
+  EXPECT_EQ(app.stat_packets(LwAftr::stat_encapsulated), 0u);
+  // The same subscriber's regular-size frame still encapsulates.
+  auto small = udp_packet(ip(192, 0, 2, 50), ip(198, 51, 100, 1), 9999,
+                          port_for_index(kParams, 0, 0));
+  EXPECT_EQ(run(app, small), ppe::Verdict::forward);
+  EXPECT_EQ(app.stat_packets(LwAftr::stat_encapsulated), 1u);
+}
+
 TEST(LwAftrApp, DecapRestoresOriginalFrameAndChecksAntiSpoof) {
   LwAftr app(aftr_config());
   provision(app);
@@ -412,6 +432,16 @@ TEST(LwB4App, EncapsulatesInSetUpstreamTraffic) {
   EXPECT_EQ(parsed.outer.ipv6->src, b4(2));
   EXPECT_EQ(parsed.outer.ipv6->dst, aftr());
   EXPECT_EQ(app.stat_packets(LwB4::stat_encapsulated), 1u);
+}
+
+TEST(LwB4App, DropsAFrameWhoseTunnelPayloadWouldOverflow) {
+  LwB4 app(b4_config());
+  auto packet = udp_packet(ip(198, 51, 100, 1), ip(192, 0, 2, 50),
+                           port_for_index(kParams, 1, 12), 443);
+  packet.data().resize(65560, 0x5a);
+  EXPECT_EQ(run(app, packet), ppe::Verdict::drop);
+  EXPECT_EQ(packet.data().size(), 65560u);
+  EXPECT_EQ(app.stat_packets(LwB4::stat_malformed), 1u);
 }
 
 TEST(LwB4App, DropsOutOfSetSourcePort) {

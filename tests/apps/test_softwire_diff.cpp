@@ -1,10 +1,13 @@
 // Differential suite for the lw4o6 datapath.
 //
-// Two oracles keep LwAftr/LwB4 honest:
+// Three oracles keep LwAftr/LwB4 honest:
 //   * a naive byte-level reference that assembles the expected tunnel frame
-//     from scratch (no shared code with the in-place edit primitives), and
+//     byte by byte (no shared code with the in-place edit primitives),
 //   * the AFTR<->B4 round trip: encap at one end, decap at the other must be
-//     a byte-exact identity for every tunnel-eligible shape.
+//     a byte-exact identity for every tunnel-eligible shape, and
+//   * the parser-built reference of softwire_oracle.hpp, against which the
+//     AFTR's byte-peek fast path must agree on every frame of a shape zoo
+//     and every runt cut from it.
 #include <map>
 
 #include <gtest/gtest.h>
@@ -13,6 +16,8 @@
 #include "apps/softwire.hpp"
 #include "net/builder.hpp"
 #include "net/parser.hpp"
+#include "net/wire_layout.hpp"
+#include "softwire_oracle.hpp"
 
 namespace flexsfp::apps {
 namespace {
@@ -205,6 +210,59 @@ TEST(SoftwireDiff, B4EncapThenAftrDecapIsIdentity) {
     EXPECT_EQ(packet.data(), original.data()) << label;
     EXPECT_EQ(aftr_app.stat_packets(LwAftr::stat_decapsulated), 1u) << label;
   }
+}
+
+// --- byte-peek fast path vs the parser-built reference ---------------------
+
+std::string describe(const LwAftrConfig& config) {
+  return "miss " + std::to_string(static_cast<int>(config.miss_action)) +
+         (config.hairpin ? ", hairpin" : ", no hairpin");
+}
+
+TEST(SoftwireFastPath, ShapeZooMatchesParserReference) {
+  for (const LwAftrConfig& config : oracle::all_configs()) {
+    SCOPED_TRACE(describe(config));
+    LwAftr app(config);
+    oracle::provision(app);
+    EXPECT_EQ(oracle::expect_matches_reference(app, oracle::shape_zoo()), 0u);
+  }
+}
+
+TEST(SoftwireFastPath, RuntsMatchParserReference) {
+  // Every zoo frame cut at every length up to 110 bytes: inside and at the
+  // end of the Ethernet, VLAN, IPv6, IPv4 (with and without options) and
+  // L4 headers.
+  const auto runts = oracle::runts();
+  for (const LwAftrConfig& config : oracle::all_configs()) {
+    SCOPED_TRACE(describe(config));
+    LwAftr app(config);
+    oracle::provision(app);
+    EXPECT_EQ(oracle::expect_matches_reference(app, runts), 0u);
+  }
+}
+
+TEST(SoftwireFastPath, ZooCoversBothSidesOfTheSplit) {
+  // The zoo must hold fast shapes in both directions and frames that only
+  // narrowly miss them, or the comparison above proves little.
+  namespace wire = net::wire;
+  std::size_t down_fast = 0, up_fast = 0, slow = 0;
+  for (const oracle::Shape& shape : oracle::shape_zoo()) {
+    const net::Bytes& b = shape.frame;
+    if (wire::ipv4_frame_shape(b) != wire::L4Shape::slow_path) {
+      ++down_fast;
+    } else if (wire::untagged_ether_type(b, net::EtherType::ipv6) &&
+               b.size() >= wire::kTunnelL3 && b[wire::kL3] >> 4 == 6 &&
+               b[wire::kL3 + wire::kIpv6NextHeader] == 4 &&
+               wire::ipv4_shape(b, wire::kTunnelL3) !=
+                   wire::L4Shape::slow_path) {
+      ++up_fast;  // the destination check is the AFTR's own
+    } else {
+      ++slow;
+    }
+  }
+  EXPECT_GE(down_fast, 9u);
+  EXPECT_GE(up_fast, 13u);
+  EXPECT_GE(slow, 20u);
 }
 
 }  // namespace

@@ -171,6 +171,111 @@ TEST(Transform, IpipEncapDecapRoundTrip) {
   EXPECT_EQ(frame, original);
 }
 
+// --- 16-bit length limits of the tunnel edits -------------------------------
+// A delivery header's length field is 16 bits. An edit whose result would
+// not fit must fail and leave the frame alone, not wrap the field.
+
+/// An untagged IPv4/UDP frame of exactly `size` bytes (the IPv4 and UDP
+/// length fields are whatever the builder wrote; no tunnel edit reads them).
+Bytes udp_frame_of_size(std::size_t size) {
+  Bytes frame = PacketBuilder()
+                    .ethernet(mac(2), mac(1))
+                    .ipv4(Ipv4Address::from_octets(10, 0, 0, 1),
+                          Ipv4Address::from_octets(10, 0, 0, 2), IpProto::udp)
+                    .udp(1000, 2000)
+                    .build();
+  frame.resize(size, 0x5a);
+  return frame;
+}
+
+TEST(Transform, Ipv4InIpv6RefusesAPayloadPastItsLengthField) {
+  const Ipv6Address src = Ipv6Address::from_u64_pair(1, 1);
+  const Ipv6Address dst = Ipv6Address::from_u64_pair(2, 2);
+  // 65,546 bytes would follow the IPv6 header; payload_length holds 65,535.
+  Bytes frame = udp_frame_of_size(65560);
+  const Bytes original = frame;
+  EXPECT_FALSE(encapsulate_ipv4_in_ipv6(frame, src, dst));
+  EXPECT_EQ(frame, original);
+  EXPECT_FALSE(encapsulate_ipv4_in_ipv6(frame, 14, src, dst));
+  EXPECT_EQ(frame, original);
+  // The largest frame that fits: 65,535 bytes behind L2.
+  frame = udp_frame_of_size(14 + 65535);
+  ASSERT_TRUE(encapsulate_ipv4_in_ipv6(frame, src, dst));
+  const auto parsed = parse_packet(frame);
+  ASSERT_TRUE(parsed.outer.ipv6);
+  EXPECT_EQ(parsed.outer.ipv6->payload_length, 65535);
+  EXPECT_EQ(frame.size(), 14u + 40u + 65535u);
+}
+
+TEST(Transform, GreRefusesADeliveryPacketPastItsLengthField) {
+  const Ipv4Address src = Ipv4Address::from_octets(172, 16, 0, 1);
+  const Ipv4Address dst = Ipv4Address::from_octets(172, 16, 0, 2);
+  // 20 (outer IPv4) + 4 (GRE) + the inner packet must stay <= 65,535.
+  Bytes frame = udp_frame_of_size(14 + 65535 - 24 + 1);
+  const Bytes original = frame;
+  EXPECT_FALSE(encapsulate_gre(frame, src, dst));
+  EXPECT_EQ(frame, original);
+  frame = udp_frame_of_size(14 + 65535 - 24);
+  ASSERT_TRUE(encapsulate_gre(frame, src, dst));
+  EXPECT_EQ(parse_packet(frame).outer.ipv4->total_length, 65535);
+}
+
+TEST(Transform, IpipRefusesADeliveryPacketPastItsLengthField) {
+  const Ipv4Address src = Ipv4Address::from_octets(9, 9, 9, 1);
+  const Ipv4Address dst = Ipv4Address::from_octets(9, 9, 9, 2);
+  Bytes frame = udp_frame_of_size(14 + 65535 - 20 + 1);
+  const Bytes original = frame;
+  EXPECT_FALSE(encapsulate_ipip(frame, src, dst));
+  EXPECT_EQ(frame, original);
+  frame = udp_frame_of_size(14 + 65535 - 20);
+  ASSERT_TRUE(encapsulate_ipip(frame, src, dst));
+  EXPECT_EQ(parse_packet(frame).outer.ipv4->total_length, 65535);
+}
+
+TEST(Transform, VxlanRefusesAnOuterPacketPastItsLengthField) {
+  const Ipv4Address src = Ipv4Address::from_octets(172, 16, 1, 1);
+  const Ipv4Address dst = Ipv4Address::from_octets(172, 16, 1, 2);
+  // Outer IPv4 (20) + UDP (8) + VXLAN (8) + the whole inner frame.
+  Bytes frame = udp_frame_of_size(65535 - 36 + 1);
+  const Bytes original = frame;
+  EXPECT_FALSE(encapsulate_vxlan(frame, mac(0xa), mac(0xb), src, dst, 7));
+  EXPECT_EQ(frame, original);
+  frame = udp_frame_of_size(65535 - 36);
+  ASSERT_TRUE(encapsulate_vxlan(frame, mac(0xa), mac(0xb), src, dst, 7));
+  const auto parsed = parse_packet(frame);
+  EXPECT_EQ(parsed.outer.ipv4->total_length, 65535);
+  EXPECT_EQ(parsed.outer.udp->length, 65535 - 20);
+}
+
+TEST(Transform, Ipv4InIpv6OffsetOpsRoundTripBehindAVlanTag) {
+  Bytes frame = PacketBuilder()
+                    .ethernet(mac(2), mac(1))
+                    .vlan(42)
+                    .ipv4(Ipv4Address::from_octets(10, 0, 0, 1),
+                          Ipv4Address::from_octets(10, 0, 0, 2), IpProto::udp)
+                    .udp(1000, 2000)
+                    .payload_size(16)
+                    .build();
+  const Bytes original = frame;
+  const Ipv6Address src = Ipv6Address::from_u64_pair(1, 1);
+  const Ipv6Address dst = Ipv6Address::from_u64_pair(2, 2);
+  ASSERT_TRUE(encapsulate_ipv4_in_ipv6(frame, 18, src, dst, 9));
+  const auto parsed = parse_packet(frame);
+  ASSERT_TRUE(parsed.outer.ipv6);
+  EXPECT_EQ(parsed.outer.l3_offset, 18u);
+  EXPECT_EQ(parsed.outer.ipv6->hop_limit, 9);
+  EXPECT_EQ(parsed.outer.ipv6->payload_length, original.size() - 18);
+  ASSERT_TRUE(decapsulate_ipv4_in_ipv6(frame, 18));
+  EXPECT_EQ(frame, original);
+  // Offsets outside the frame, or a frame too short for the header, fail.
+  EXPECT_FALSE(encapsulate_ipv4_in_ipv6(frame, 1, src, dst));
+  EXPECT_FALSE(encapsulate_ipv4_in_ipv6(frame, frame.size() + 1, src, dst));
+  Bytes runt(18 + 39, 0);
+  EXPECT_FALSE(decapsulate_ipv4_in_ipv6(runt, 18));
+  EXPECT_EQ(runt.size(), 18u + 39u);
+  EXPECT_EQ(frame, original);
+}
+
 TEST(Transform, DecapsulateRejectsPlainTraffic) {
   Bytes frame = PacketBuilder()
                     .ethernet(mac(2), mac(1))

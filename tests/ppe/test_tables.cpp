@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "net/flow.hpp"
 #include "sim/random.hpp"
 
 namespace flexsfp::ppe {
@@ -99,6 +102,157 @@ TEST(ExactMatchTable, ClearEmptiesTable) {
   table.clear();
   EXPECT_EQ(table.size(), 0u);
   EXPECT_FALSE(table.lookup(1).has_value());
+}
+
+// Bucket placement as the table computes it: fnv1a picks the first bucket,
+// murmur3 the second, bumped by one when the two coincide.
+struct Buckets {
+  std::size_t first;
+  std::size_t second;
+};
+Buckets buckets_of(std::uint64_t key, std::size_t bucket_count) {
+  const std::size_t first = net::fnv1a_u64(key) & (bucket_count - 1);
+  std::size_t second = net::murmur3_u64(key) & (bucket_count - 1);
+  if (second == first) second = (second + 1) & (bucket_count - 1);
+  return {first, second};
+}
+
+/// The first key >= `from` whose buckets satisfy `wanted`.
+template <typename Pred>
+std::uint64_t key_where(std::uint64_t from, std::size_t bucket_count,
+                        Pred wanted) {
+  for (std::uint64_t key = from;; ++key) {
+    if (wanted(buckets_of(key, bucket_count))) return key;
+  }
+}
+
+TEST(ExactMatchTable, CopyAnswersLikeTheOriginal) {
+  ExactMatchTable original("t", 32768, 32, 64);
+  sim::Rng rng(7);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t key = rng.next_u64();
+    if (original.insert(key, key ^ 0x5555)) keys.push_back(key);
+  }
+  for (std::size_t i = 0; i < keys.size(); i += 3) original.erase(keys[i]);
+  const ExactMatchTable copy = original;
+  ExactMatchTable assigned("other", 16, 32, 64);
+  assigned = original;
+  const ExactMatchTable& assigned_view = assigned;
+  for (const ExactMatchTable* table : {&copy, &assigned_view}) {
+    EXPECT_EQ(table->size(), original.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(table->lookup(keys[i]), original.lookup(keys[i])) << i;
+    }
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t absent = rng.next_u64();
+      ASSERT_EQ(table->lookup(absent), original.lookup(absent));
+    }
+    std::vector<std::uint64_t> a, b;
+    original.for_each([&a](std::uint64_t k, std::uint64_t) { a.push_back(k); });
+    table->for_each([&b](std::uint64_t k, std::uint64_t) { b.push_back(k); });
+    EXPECT_EQ(a, b);
+  }
+  // The copy is independent of the original.
+  ExactMatchTable edited = original;
+  ASSERT_TRUE(edited.erase(keys[1]));
+  ASSERT_TRUE(edited.insert(keys[0], 1));
+  EXPECT_EQ(original.lookup(keys[1]), keys[1] ^ 0x5555);
+  EXPECT_FALSE(original.lookup(keys[0]).has_value());
+}
+
+TEST(ExactMatchTable, FindsAKeyInItsSecondBucketAfterTheFirstEmpties) {
+  // 1-way, 8 buckets: `holder` takes bucket X, `key` shares first bucket X
+  // and so lands in its second bucket.
+  constexpr std::size_t n = 8;
+  ExactMatchTable table("t", n, 32, 64, /*ways=*/1);
+  const std::uint64_t holder = 1;
+  const std::size_t x = buckets_of(holder, n).first;
+  const std::uint64_t key = key_where(
+      holder + 1, n, [x](Buckets b) { return b.first == x; });
+  ASSERT_TRUE(table.insert(holder, 10));
+  ASSERT_TRUE(table.insert(key, 20));
+  EXPECT_EQ(table.lookup(key), 20u);
+  ASSERT_TRUE(table.erase(holder));
+  // The erased holder's stale key still sits in bucket X: a match on it
+  // must be rejected by the valid bit, and the probe go on to the second
+  // bucket.
+  EXPECT_FALSE(table.lookup(holder).has_value());
+  EXPECT_EQ(table.lookup(key), 20u);
+  EXPECT_FALSE(table.erase(holder));
+  ASSERT_TRUE(table.erase(key));
+  EXPECT_FALSE(table.lookup(key).has_value());
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(ExactMatchTable, LookupsSurviveACuckooRelocation) {
+  // 1-way, 8 buckets. `a` sits in c's first bucket and has a free
+  // alternate; `b` sits in c's second bucket. Inserting c finds both its
+  // buckets full and moves `a` out of the way.
+  constexpr std::size_t n = 8;
+  ExactMatchTable table("t", n, 32, 64, /*ways=*/1);
+  const std::uint64_t c = 1;
+  const Buckets cb = buckets_of(c, n);
+  const std::uint64_t a = key_where(c + 1, n, [cb](Buckets k) {
+    return k.first == cb.first && k.second != cb.second;
+  });
+  const std::size_t a_alternate = buckets_of(a, n).second;
+  const std::uint64_t b = key_where(c + 1, n, [&](Buckets k) {
+    return k.first == cb.second && k.second != cb.first &&
+           k.second != a_alternate;
+  });
+  ASSERT_TRUE(table.insert(a, 100));
+  ASSERT_TRUE(table.insert(b, 200));
+  ASSERT_TRUE(table.insert(c, 300));
+  EXPECT_EQ(table.bucket_overflows(), 0u);
+  EXPECT_EQ(table.lookup(a), 100u);
+  EXPECT_EQ(table.lookup(b), 200u);
+  EXPECT_EQ(table.lookup(c), 300u);
+  EXPECT_EQ(table.size(), 3u);
+  // The slot order shows the move: c now holds a's former slot and a its
+  // alternate.
+  std::vector<std::pair<std::size_t, std::uint64_t>> by_slot = {
+      {a_alternate, a}, {cb.second, b}, {cb.first, c}};
+  std::sort(by_slot.begin(), by_slot.end());
+  std::vector<std::uint64_t> expected;
+  for (const auto& [slot, key] : by_slot) expected.push_back(key);
+  std::vector<std::uint64_t> after;
+  table.for_each([&after](std::uint64_t k, std::uint64_t) {
+    after.push_back(k);
+  });
+  EXPECT_EQ(after, expected);
+  // Erasing through the relocated key still works.
+  EXPECT_TRUE(table.erase(a));
+  EXPECT_FALSE(table.lookup(a).has_value());
+  EXPECT_EQ(table.lookup(c), 300u);
+}
+
+TEST(ExactMatchTable, ForEachVisitsSlotsInIndexOrder) {
+  // 1-way, 16 buckets: keys with distinct first buckets each take their
+  // first bucket, so slot index order is first-bucket order.
+  constexpr std::size_t n = 16;
+  ExactMatchTable table("t", n, 32, 64, /*ways=*/1);
+  std::vector<std::pair<std::size_t, std::uint64_t>> placed;
+  std::vector<bool> used(n, false);
+  for (std::uint64_t key = 1000; placed.size() < 6; ++key) {
+    const Buckets b = buckets_of(key, n);
+    if (used[b.first] || used[b.second]) continue;
+    used[b.first] = used[b.second] = true;  // no later key may collide
+    placed.emplace_back(b.first, key);
+  }
+  // Insert in descending key order so insertion order is not slot order.
+  for (auto it = placed.rbegin(); it != placed.rend(); ++it) {
+    ASSERT_TRUE(table.insert(it->second, it->second + 1));
+  }
+  std::sort(placed.begin(), placed.end());
+  std::vector<std::uint64_t> expected;
+  for (const auto& [slot, key] : placed) expected.push_back(key);
+  std::vector<std::uint64_t> visited;
+  table.for_each([&visited](std::uint64_t k, std::uint64_t v) {
+    EXPECT_EQ(v, k + 1);
+    visited.push_back(k);
+  });
+  EXPECT_EQ(visited, expected);
 }
 
 TEST(ExactMatchTable, ResourceUsageMatchesGeometry) {

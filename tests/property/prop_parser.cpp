@@ -5,6 +5,7 @@
 // truncation and single-byte-corruption sweeps over a known-good frame.
 #include <gtest/gtest.h>
 
+#include "frame_mutations.hpp"
 #include "net/builder.hpp"
 #include "net/parser.hpp"
 
@@ -138,13 +139,12 @@ TEST(ParserMalformed, BadVxlan) {
 // crashes, and the result is either a clean parse (padding-only cut) or a
 // truncation-family error — never a stale success with missing headers.
 TEST(ParserMalformed, EveryTruncationIsHandled) {
-  const Bytes full = ipv4_tcp_frame();
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    const auto parsed =
-        parse_packet(BytesView(full.data(), len));
+  for (const Bytes& frame : mutations::every_truncation(ipv4_tcp_frame())) {
+    const auto parsed = parse_packet(frame);
     if (parsed.ok()) {
       // Only the payload may be missing; every claimed header must fit.
-      EXPECT_GE(len, parsed.outer.payload_offset) << "len " << len;
+      EXPECT_GE(frame.size(), parsed.outer.payload_offset)
+          << "len " << frame.size();
     }
   }
 }
@@ -152,10 +152,9 @@ TEST(ParserMalformed, EveryTruncationIsHandled) {
 // Property: flipping any single byte never crashes the parser; when the
 // parse still succeeds the header offsets stay inside the frame.
 TEST(ParserMalformed, SingleByteCorruptionNeverCrashes) {
-  const Bytes full = ipv4_tcp_frame();
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    Bytes frame = full;
-    frame[i] = static_cast<std::uint8_t>(~frame[i]);
+  const auto corrupted = mutations::every_byte_inverted(ipv4_tcp_frame());
+  for (std::size_t i = 0; i < corrupted.size(); ++i) {
+    const Bytes& frame = corrupted[i];
     const auto parsed = parse_packet(frame);
     if (parsed.ok() && parsed.outer.has_ip()) {
       EXPECT_LE(parsed.outer.payload_offset, frame.size()) << "byte " << i;
