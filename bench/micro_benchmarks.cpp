@@ -4,12 +4,14 @@
 // the modeled hardware throughput.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <vector>
 
 #include "apps/acl.hpp"
 #include "apps/load_balancer.hpp"
 #include "apps/nat.hpp"
 #include "apps/softwire.hpp"
+#include "fabric/fabric_testbed.hpp"
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
 #include "net/packet_pool.hpp"
@@ -269,27 +271,84 @@ void BM_LockstepRound(benchmark::State& state) {
 }
 BENCHMARK(BM_LockstepRound)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-// The fabric engine's cross-world handoff for one frame of `size` bytes:
-// the source world captures a pooled packet, the barrier copies it into a
-// packet of the destination world's pool and releases the source packet,
-// and the destination later releases its copy. Both pools are warm, so the
-// steady state reuses recycled capacity on both sides.
+// The fabric engine's cross-world handoff for one frame of `size` bytes, one
+// lockstep round per iteration: the source world releases the packet it
+// captured two rounds ago (its destination cloned it last round), the
+// destination clones last round's capture into its own pool, and the source
+// captures a new pooled packet into this round's outbox. Both pools are
+// warm, so the steady state reuses recycled capacity on both sides.
 void BM_FabricHandoff(benchmark::State& state) {
   net::PacketPool source;
   net::PacketPool destination;
   net::Packet sized(sample_frame(0));
   sized.data().resize(static_cast<std::size_t>(state.range(0)), 0x5a);
-  std::vector<net::PacketPtr> outbox;
-  outbox.reserve(1);
+  std::array<std::vector<net::PacketPtr>, 2> outbox;
+  outbox[1].push_back(source.clone(sized));  // the round before the first
+  unsigned parity = 0;
   for (auto _ : state) {
-    outbox.push_back(source.clone(sized));  // captured at the uplink
-    net::PacketPtr delivered = destination.clone(*outbox.back());
-    outbox.clear();  // the source packet returns to its own pool
+    outbox[parity].clear();  // back to the source pool, a round after its clone
+    net::PacketPtr delivered = destination.clone(*outbox[parity ^ 1].front());
+    outbox[parity].push_back(source.clone(sized));  // captured at the uplink
     benchmark::DoNotOptimize(delivered->data().data());
+    parity ^= 1;
   }
   state.SetBytesProcessed(int64_t(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_FabricHandoff)->Arg(64)->Arg(1518);
+
+// One whole fabric run per iteration on the perfbench-shaped incast: 4
+// modules send to module 0 through the crossbar (Poisson, uniform 64–1518 B
+// frames at 4 Gb/s, 2% drop and 1% duplicate on every link, crosspoint
+// capacity 16, 2 ms). `single` builds and runs a FabricTestbed; 1, 2 and 4
+// run the windowed engine at that many workers (its run() builds the worlds
+// itself). The fixed iteration count keeps a CI smoke short without a
+// --benchmark_min_time argument.
+constexpr unsigned kSingleSimulation = 0;
+
+fabric::Topology fabric_incast() {
+  using sim::operator""_ms;
+  fabric::Topology topo;
+  topo.modules = 4;
+  topo.targets = {0, 0, 0, 0};
+  topo.crosspoint_capacity = 16;
+  topo.base_seed = 1;
+  fabric::TrafficSpec& spec = topo.traffic_prototype;
+  spec.rate = sim::DataRate::gbps(4);
+  spec.arrivals = fabric::ArrivalProcess::poisson;
+  spec.sizes = fabric::SizeDistribution::uniform;
+  spec.min_size = 64;
+  spec.max_size = 1518;
+  spec.duration = 2_ms;
+  sim::FaultSpec faults;
+  faults.drop_prob = 0.02;
+  faults.duplicate_prob = 0.01;
+  faults.seed = 5;
+  topo.link_faults = faults;
+  return topo;
+}
+
+void BM_FabricEngine(benchmark::State& state, unsigned workers) {
+  const fabric::Topology topo = fabric_incast();
+  fabric::FabricParallelTestbed windowed(topo);
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    if (workers == kSingleSimulation) {
+      fabric::FabricTestbed single(topo);
+      delivered += single.run().ledger.delivered;
+    } else {
+      delivered += windowed.run(workers).ledger.delivered;
+    }
+  }
+  benchmark::DoNotOptimize(delivered);
+}
+BENCHMARK_CAPTURE(BM_FabricEngine, single, kSingleSimulation)
+    ->Iterations(10)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_FabricEngine, 1, 1u)
+    ->Iterations(10)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_FabricEngine, 2, 2u)
+    ->Iterations(10)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_FabricEngine, 4, 4u)
+    ->Iterations(10)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "fabric/fabric_testbed.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -158,10 +159,11 @@ FabricRunResult FabricTestbed::run() {
 
 namespace {
 
-/// One packet crossing worlds: captured on the source world's thread, still
-/// owned by the source world's pool, applied at the barrier. `arrival`
-/// already includes the link propagation delay, which is what makes it ≥
-/// every future window start.
+/// One packet crossing worlds: captured on the source world's thread and
+/// owned by the source world's pool for its whole life. The destination
+/// clones it at the start of the next round; the source releases it the
+/// round after that. `arrival` already includes the link propagation delay,
+/// which is what makes it ≥ every future window start.
 struct Boundary {
   sim::TimePs arrival = 0;
   std::size_t dest_world = 0;
@@ -169,11 +171,38 @@ struct Boundary {
   net::PacketPtr packet;
 };
 
+/// One world and its side of the boundary. Only this world's thread writes
+/// any of it; the outbox filled last round is read, never written, by its
+/// destinations during the current round.
 struct World {
+  /// Round `parity` starts: release the buffer this round refills. Its
+  /// destinations cloned those packets last round, so they go back to this
+  /// world's own pool, on this world's thread.
+  void begin_round(unsigned parity) {
+    fill = parity;
+    outbox[fill].clear();
+    dests.clear();
+  }
+
+  /// A packet leaves this world for `dest` at now() + `delay`.
+  void capture(std::size_t dest, int port, net::PacketPtr packet,
+               sim::TimePs delay) {
+    outbox[fill].push_back(Boundary{sim::saturating_add(sim.now(), delay),
+                                    dest, port, std::move(packet)});
+    if (dests.empty() || dests.back() != dest) dests.push_back(dest);
+  }
+
   sim::Simulation sim;
-  std::vector<Boundary> outbox;  // only this world's thread appends
-  std::unique_ptr<detail::ModuleRig> rig;  // module worlds
-  std::unique_ptr<Crossbar> xbar;          // the crossbar world
+  /// Round r appends to outbox[r & 1]; its destinations read it in round
+  /// r + 1, and this world releases it at the start of round r + 2.
+  std::array<std::vector<Boundary>, 2> outbox;
+  unsigned fill = 0;  // parity of the current round
+  /// The dest_worlds of outbox[fill] in capture order, runs collapsed.
+  std::vector<std::size_t> dests;
+  std::vector<const Boundary*> inbound;     // this round's pulled batch
+  sim::TimePs pending = sim::time_horizon;  // earliest event or arrival
+  std::unique_ptr<detail::ModuleRig> rig;   // module worlds
+  std::unique_ptr<Crossbar> xbar;           // the crossbar world
 };
 
 }  // namespace
@@ -202,9 +231,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
     world.rig = std::make_unique<detail::ModuleRig>(
         world.sim, topo_, i, app_factory_(),
         [&world, xbar_world, i, delay](net::PacketPtr p) {
-          world.outbox.push_back(
-              Boundary{sim::saturating_add(world.sim.now(), delay), xbar_world,
-                       static_cast<int>(i), std::move(p)});
+          world.capture(xbar_world, static_cast<int>(i), std::move(p), delay);
         });
   }
   {
@@ -219,9 +246,8 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
     for (std::size_t j = 0; j < modules; ++j) {
       world.xbar->set_output_handler(j, [&world, j, delay](net::PacketPtr p) {
         sfp::set_egress_hint(*p, sfp::FlexSfpModule::edge_port);
-        world.outbox.push_back(
-            Boundary{sim::saturating_add(world.sim.now(), delay), j,
-                     sfp::FlexSfpModule::optical_port, std::move(p)});
+        world.capture(j, sfp::FlexSfpModule::optical_port, std::move(p),
+                      delay);
       });
     }
   }
@@ -229,86 +255,111 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
   for (std::size_t i = 0; i < modules; ++i) worlds[i]->rig->gen->start();
 
   // The conservative window bound: every world may run strictly past the
-  // globally earliest pending event plus the link lookahead, because no
-  // packet captured before the bound can arrive anywhere earlier than it.
-  const auto compute_horizon = [&worlds, delay]() -> sim::TimePs {
-    sim::TimePs min_next = sim::time_horizon;
-    for (auto& world : worlds) {
-      min_next = std::min(min_next, world->sim.next_event_time());
+  // globally earliest pending event or boundary arrival plus the link
+  // lookahead, because no packet captured before the bound can arrive
+  // anywhere earlier than it.
+  const auto horizon_after_pending = [&worlds, delay]() -> sim::TimePs {
+    sim::TimePs earliest = sim::time_horizon;
+    for (const auto& world : worlds) {
+      earliest = std::min(earliest, world->pending);
     }
-    if (min_next == sim::time_horizon) return sim::time_horizon;
-    return sim::saturating_add(min_next, delay);
+    if (earliest == sim::time_horizon) return sim::time_horizon;
+    return sim::saturating_add(earliest, delay);
+  };
+
+  // Pull the batch addressed to world `self` out of the outboxes its
+  // senders filled last round, and schedule it in (arrival, source world,
+  // capture order): senders are listed in world order and outboxes in
+  // capture order, so a stable sort on arrival realizes exactly that key —
+  // the tie-break that keeps every worker count bit-identical. The source
+  // packets are only read; each is cloned into this world's pool.
+  const auto pull = [&worlds](std::size_t self,
+                              const std::vector<std::size_t>& senders,
+                              unsigned filled) {
+    World& world = *worlds[self];
+    world.inbound.clear();
+    for (const std::size_t src : senders) {
+      for (const Boundary& boundary : worlds[src]->outbox[filled]) {
+        if (boundary.dest_world == self) world.inbound.push_back(&boundary);
+      }
+    }
+    const auto by_arrival = [](const Boundary* a, const Boundary* b) {
+      return a->arrival < b->arrival;
+    };
+    // std::stable_sort takes a heap temporary buffer even for one element;
+    // a batch already in order (the common case) skips it.
+    if (!std::is_sorted(world.inbound.begin(), world.inbound.end(),
+                        by_arrival)) {
+      std::stable_sort(world.inbound.begin(), world.inbound.end(), by_arrival);
+    }
+    for (const Boundary* boundary : world.inbound) {
+      if (boundary->arrival < world.sim.now()) {
+        throw std::logic_error(
+            "conservative-sync violation: boundary packet arrives before the "
+            "window start");
+      }
+      net::PacketPtr packet = world.sim.packet_pool().clone(*boundary->packet);
+      if (world.xbar) {
+        world.sim.schedule_at(
+            boundary->arrival,
+            [xbar = world.xbar.get(), in = boundary->port,
+             packet = std::move(packet)]() mutable {
+              xbar->ingress(static_cast<std::size_t>(in), std::move(packet));
+            });
+      } else {
+        world.sim.schedule_at(
+            boundary->arrival,
+            [module = world.rig->module.get(), port = boundary->port,
+             packet = std::move(packet)]() mutable {
+              module->inject(port, std::move(packet));
+            });
+      }
+    }
   };
 
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t rounds = 0;
-  std::vector<Boundary> inbound;  // one destination's batch, reused
-  sim::TimePs horizon = compute_horizon();
+  unsigned parity = 0;  // round r fills outbox[r & 1]
+  // senders[d]: the worlds, in world order, whose last outbox holds mail
+  // for world d. Built by the caller at the barrier from each world's
+  // `dests`, so an idle destination scans nothing.
+  std::vector<std::vector<std::size_t>> senders(worlds.size());
+  for (auto& world : worlds) world->pending = world->sim.next_event_time();
+  sim::TimePs horizon = horizon_after_pending();
   if (horizon != sim::time_horizon) {
     sim::run_lockstep_rounds(
         worlds.size(), workers,
-        [&worlds, &horizon](std::size_t i) {
-          (void)worlds[i]->sim.run_before(horizon);
+        [&](std::size_t self) {
+          World& world = *worlds[self];
+          world.begin_round(parity);
+          pull(self, senders[self], parity ^ 1);
+          (void)world.sim.run_before(horizon);
+          // Captures happen at a non-decreasing now(), so the first one
+          // arrives first.
+          const auto& filled = world.outbox[parity];
+          world.pending =
+              std::min(world.sim.next_event_time(),
+                       filled.empty() ? sim::time_horizon
+                                      : filled.front().arrival);
         },
         [&]() -> bool {
           ++rounds;
-          // Apply boundary batches in (arrival, source world, capture order):
-          // outboxes are appended in capture order and drained in world
-          // order, so a stable sort on arrival realizes exactly that key —
-          // the tie-break that keeps every worker count bit-identical.
-          for (std::size_t dest = 0; dest < worlds.size(); ++dest) {
-            inbound.clear();
-            for (auto& src : worlds) {
-              for (auto& boundary : src->outbox) {
-                if (boundary.dest_world == dest) {
-                  inbound.push_back(std::move(boundary));
-                }
-              }
-            }
-            const auto by_arrival = [](const Boundary& a, const Boundary& b) {
-              return a.arrival < b.arrival;
-            };
-            // std::stable_sort takes a heap temporary buffer even for one
-            // element; a batch already in order (the common case) skips it.
-            if (!std::is_sorted(inbound.begin(), inbound.end(), by_arrival)) {
-              std::stable_sort(inbound.begin(), inbound.end(), by_arrival);
-            }
-            World& dw = *worlds[dest];
-            for (Boundary& boundary : inbound) {
-              if (boundary.arrival < dw.sim.now()) {
-                throw std::logic_error(
-                    "conservative-sync violation: boundary packet arrives "
-                    "before the window start");
-              }
-              // Workers wait at the barrier, so touching both pools here is
-              // single-threaded: copy the frame into recycled capacity of
-              // the destination pool, then return the source packet to its
-              // own pool.
-              net::PacketPtr packet =
-                  dw.sim.packet_pool().clone(*boundary.packet);
-              boundary.packet.reset();
-              if (dest == xbar_world) {
-                dw.sim.schedule_at(
-                    boundary.arrival,
-                    [xbar = dw.xbar.get(), in = boundary.port,
-                     packet = std::move(packet)]() mutable {
-                      xbar->ingress(static_cast<std::size_t>(in),
-                                    std::move(packet));
-                    });
-              } else {
-                dw.sim.schedule_at(
-                    boundary.arrival,
-                    [module = dw.rig->module.get(), port = boundary.port,
-                     packet = std::move(packet)]() mutable {
-                      module->inject(port, std::move(packet));
-                    });
-              }
+          for (auto& list : senders) list.clear();
+          for (std::size_t src = 0; src < worlds.size(); ++src) {
+            for (const std::size_t dest : worlds[src]->dests) {
+              auto& list = senders[dest];
+              if (list.empty() || list.back() != src) list.push_back(src);
             }
           }
-          for (auto& world : worlds) world->outbox.clear();
-          horizon = compute_horizon();
+          parity ^= 1;
+          horizon = horizon_after_pending();
           return horizon != sim::time_horizon;
         });
+  }
+  // The last round's destinations have cloned everything; release both
+  // buffers so every world's pool reads empty in the snapshots below.
+  for (auto& world : worlds) {
+    for (auto& outbox : world->outbox) outbox.clear();
   }
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -9,16 +9,20 @@
 //   * FabricParallelTestbed — one Simulation ("world") per module plus one
 //     for the crossbar, advanced in conservative-sync windows: the link
 //     propagation delay is the lookahead, so every world can safely run to
-//     (min next event across worlds) + delay, and the packets captured at
-//     its uplink during the window are exchanged at the barrier with
-//     timestamps that are provably ≥ the new window start. A captured
-//     packet stays a PacketPtr of its source world until the barrier; there,
-//     with every worker waiting, the exchange clones it into the destination
-//     world's pool and releases the source packet into its own, so no
-//     refcount or free list is ever touched by two threads at once. Batches
-//     are applied in (arrival, source world, capture seq) order, so results
-//     are bit-identical for any worker count. DESIGN.md §11 has the proof
-//     sketch.
+//     (min next event or boundary arrival across worlds) + delay. A packet
+//     captured at a world's uplink during window r goes into that world's
+//     outbox for r (two buffers, alternating by round parity), still a
+//     PacketPtr of its source world, with a timestamp provably ≥ the next
+//     window start. At the start of window r + 1 each destination pulls
+//     the records addressed to it from the outboxes of the worlds that
+//     wrote to it, and clones each frame into its own pool; at the start of
+//     window r + 2 the source clears that buffer, releasing its packets
+//     into its own pool on its own thread. So no refcount or free list is
+//     ever touched by two threads, and the barrier's serial step only takes
+//     the minimum pending time and lists each destination's senders.
+//     Batches are applied in (arrival, source world, capture seq) order, so
+//     results are bit-identical for any worker count. DESIGN.md §11 has the
+//     proof sketch.
 //
 // Either way the run ends with a loss ledger: every packet the generators
 // (plus fault duplication) injected is delivered or sits in a named drop

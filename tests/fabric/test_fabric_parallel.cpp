@@ -121,15 +121,9 @@ void expect_same_ledger(const FabricLedger& run, const FabricLedger& ref,
   EXPECT_EQ(run.unrouted, ref.unrouted) << where;
 }
 
-TEST(FabricParallel, AgreesWithTheSingleSimulationReference) {
-  // Same Topology through both engines. Packet-id spaces and registry
-  // structure differ (one sim vs a sim per world), so the comparison is at
-  // the ledger level: identical traffic, identical fault decisions,
-  // identical timing → every ledger term and every module's latency
-  // percentiles identical, for any worker count. Two shapes: the unfaulted
-  // ring, and a perfbench-style incast (4 modules → module 0, shallow
-  // crosspoints, lossy and duplicating links) that exercises every drop
-  // term the fabric has.
+/// A perfbench-style incast: 4 modules → module 0, shallow crosspoints,
+/// lossy and duplicating links — every drop term the fabric has.
+Topology faulted_incast() {
   Topology incast = base_topology(4, 42);
   incast.targets = {0, 0, 0, 0};
   incast.crosspoint_capacity = 16;
@@ -143,9 +137,18 @@ TEST(FabricParallel, AgreesWithTheSingleSimulationReference) {
   faults.duplicate_prob = 0.01;
   faults.seed = 9;
   incast.link_faults = faults;
+  return incast;
+}
 
+TEST(FabricParallel, AgreesWithTheSingleSimulationReference) {
+  // Same Topology through both engines. Packet-id spaces and registry
+  // structure differ (one sim vs a sim per world), so the comparison is at
+  // the ledger level: identical traffic, identical fault decisions,
+  // identical timing → every ledger term and every module's latency
+  // percentiles identical, for any worker count. Two shapes: the unfaulted
+  // ring, and the faulted incast.
   const std::vector<std::pair<const char*, Topology>> shapes = {
-      {"ring", base_topology(3, 42)}, {"incast", incast}};
+      {"ring", base_topology(3, 42)}, {"incast", faulted_incast()}};
   for (const auto& [shape, topo] : shapes) {
     FabricTestbed single(topo);
     const auto reference = single.run();
@@ -172,6 +175,70 @@ TEST(FabricParallel, AgreesWithTheSingleSimulationReference) {
         EXPECT_EQ(run.modules[i].latency_p99_ns,
                   reference.modules[i].latency_p99_ns) << where;
       }
+    }
+  }
+}
+
+TEST(FabricParallel, PullExchangeBeyondSixtyFourWorlds) {
+  // 70 modules on the default ring plus the crossbar: 71 worlds, so mail
+  // flows from and to worlds 64 and up. A sender set that silently dropped
+  // them would leave those destinations' batches unpulled, and the ledger
+  // would no longer match the single simulation's.
+  Topology topo = base_topology(70, 11);
+  topo.traffic_prototype.duration = 4_us;
+  FabricTestbed single(topo);
+  const auto reference = single.run();
+  ASSERT_TRUE(reference.ledger.balanced());
+  ASSERT_GT(reference.modules[69].sent_packets, 0u);
+  ASSERT_GT(reference.modules[69].received_packets, 0u);
+
+  FabricParallelTestbed windowed(topo);
+  const auto oracle = windowed.run(1);
+  expect_same_ledger(oracle.ledger, reference.ledger, "workers=1");
+  for (std::size_t i = 64; i < 70; ++i) {
+    EXPECT_EQ(oracle.modules[i].received_packets,
+              reference.modules[i].received_packets) << "module " << i;
+  }
+  for (const unsigned workers : {2u, 4u}) {
+    const auto run = windowed.run(workers);
+    const std::string where = "workers=" + std::to_string(workers);
+    EXPECT_EQ(run.metrics, oracle.metrics) << where;
+    EXPECT_EQ(run.rounds, oracle.rounds) << where;
+    expect_same_ledger(run.ledger, reference.ledger, where);
+  }
+}
+
+TEST(FabricParallel, EveryWorldPoolIsEmptyAfterTheRun) {
+  // Boundary packets stay in their source world's outbox until a round
+  // after the destination cloned them; the run must still hand every one
+  // back to its own pool before the snapshot, and no world may outgrow its
+  // pool. On the ring with 20 µs links a round is longer than a module's
+  // transit, so the round that pulls the last frame also delivers it and
+  // ends the run with the source packet still in an outbox: only the final
+  // release empties that pool.
+  Topology long_links = base_topology(3, 5);
+  long_links.link_delay_ps = 20_us;
+  const std::vector<std::pair<const char*, Topology>> shapes = {
+      {"incast", faulted_incast()}, {"ring with 20 us links", long_links}};
+  for (const auto& [shape, topo] : shapes) {
+    FabricParallelTestbed bed(topo);
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      const auto run = bed.run(workers);
+      const std::string where =
+          std::string(shape) + " workers=" + std::to_string(workers);
+      ASSERT_GT(run.ledger.delivered, 0u) << where;
+      std::size_t in_use = 0, heap_fallbacks = 0;
+      for (const auto& sample : run.metrics.samples()) {
+        if (sample.name == "pool.in_use") {
+          ++in_use;
+          EXPECT_EQ(sample.value, 0u) << sample.key() << " " << where;
+        } else if (sample.name == "pool.heap_fallbacks") {
+          ++heap_fallbacks;
+          EXPECT_EQ(sample.value, 0u) << sample.key() << " " << where;
+        }
+      }
+      EXPECT_EQ(in_use, topo.modules + 1) << "one per world, " << where;
+      EXPECT_EQ(heap_fallbacks, topo.modules + 1) << where;
     }
   }
 }
