@@ -6,7 +6,6 @@
 //
 // usage: chaos_soak [duration_us]   (default 1000)
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,15 +31,17 @@ struct Scenario {
 int main(int argc, char** argv) {
   using namespace flexsfp::sim;
 
-  std::uint64_t duration_us = 1000;
-  if (argc > 1) duration_us = std::strtoull(argv[1], nullptr, 10);
-  if (duration_us == 0) duration_us = 1000;
-  const auto duration = static_cast<TimePs>(duration_us) * 1'000'000;
+  constexpr const char* usage = "[duration_us]";
+  bench::max_args(argc, argv, 1, usage);
+  // Bounded so the picosecond product below fits TimePs.
+  const auto duration_us = bench::positional_arg<TimePs>(
+      argc, argv, 1, 1000, 1, 1'000'000'000, usage);
+  const auto duration = duration_us * 1'000'000;
 
   apps::register_builtin_apps();
   bench::title("Chaos soak — zero-black-hole audit under injected faults");
-  std::printf("per-scenario traffic: 2 Gb/s CBR for %llu us\n\n",
-              static_cast<unsigned long long>(duration_us));
+  std::printf("per-scenario traffic: 2 Gb/s CBR for %lld us\n\n",
+              static_cast<long long>(duration_us));
 
   std::vector<Scenario> scenarios;
   {

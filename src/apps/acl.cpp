@@ -1,7 +1,6 @@
 #include "apps/acl.hpp"
 
 #include "hw/resource_model.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -138,11 +137,7 @@ hw::ResourceUsage AclFirewall::resource_usage(
 }
 
 std::vector<ppe::CounterSnapshot> AclFirewall::counters() const {
-  std::vector<ppe::CounterSnapshot> out;
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    out.push_back({"acl_stats", i, stats_.packets(i), stats_.bytes(i)});
-  }
-  return out;
+  return stats_.snapshot();
 }
 
 ppe::StageProfile AclFirewall::profile() const {
@@ -166,17 +161,5 @@ ppe::StageProfile AclFirewall::profile() const {
   profile.pipeline_depth_cycles = pipeline_latency_cycles();
   return profile;
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "acl", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<AclFirewall>();
-      const auto parsed = AclConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<AclFirewall>(*parsed);
-    });
-}  // namespace
-
-void link_acl_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

@@ -4,7 +4,6 @@
 
 #include "hw/resource_model.hpp"
 #include "net/headers.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -265,11 +264,7 @@ hw::ResourceUsage BpfFilter::resource_usage(
 }
 
 std::vector<ppe::CounterSnapshot> BpfFilter::counters() const {
-  return {
-      {"bpf_stats", 0, stats_.packets(0), stats_.bytes(0)},
-      {"bpf_stats", 1, stats_.packets(1), stats_.bytes(1)},
-      {"bpf_stats", 2, stats_.packets(2), stats_.bytes(2)},
-  };
+  return stats_.snapshot();
 }
 
 ppe::StageProfile BpfFilter::profile() const {
@@ -285,17 +280,5 @@ ppe::StageProfile BpfFilter::profile() const {
   profile.counter_banks.push_back({"bpf_stats", stats_.size(), 2});
   return profile;
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "bpf", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<BpfFilter>();
-      auto program = BpfProgram::parse(config);
-      if (!program) return nullptr;
-      return std::make_unique<BpfFilter>(std::move(*program));
-    });
-}  // namespace
-
-void link_bpf_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

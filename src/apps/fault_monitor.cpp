@@ -1,7 +1,6 @@
 #include "apps/fault_monitor.hpp"
 
 #include "hw/resource_model.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -80,17 +79,5 @@ ppe::StageProfile FaultMonitor::profile() const {
   profile.pipeline_depth_cycles = pipeline_latency_cycles();
   return profile;
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "faultmon", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<FaultMonitor>();
-      const auto parsed = FaultMonitorConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<FaultMonitor>(*parsed);
-    });
-}  // namespace
-
-void link_faultmon_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "hw/resource_model.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -90,11 +89,7 @@ hw::ResourceUsage Ipv6Filter::resource_usage(
 }
 
 std::vector<ppe::CounterSnapshot> Ipv6Filter::counters() const {
-  return {
-      {"ipv6_stats", 0, stats_.packets(0), stats_.bytes(0)},
-      {"ipv6_stats", 1, stats_.packets(1), stats_.bytes(1)},
-      {"ipv6_stats", 2, stats_.packets(2), stats_.bytes(2)},
-  };
+  return stats_.snapshot();
 }
 
 ppe::StageProfile Ipv6Filter::profile() const {
@@ -113,17 +108,5 @@ ppe::StageProfile Ipv6Filter::profile() const {
   profile.pipeline_depth_cycles = pipeline_latency_cycles();
   return profile;
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "ipv6filter", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<Ipv6Filter>();
-      const auto parsed = Ipv6FilterConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<Ipv6Filter>(*parsed);
-    });
-}  // namespace
-
-void link_ipv6_filter_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

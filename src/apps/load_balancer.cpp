@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "hw/resource_model.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -196,17 +195,5 @@ ppe::StageProfile LoadBalancer::profile() const {
   profile.pipeline_depth_cycles = pipeline_latency_cycles();
   return profile;
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "lb", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<LoadBalancer>();
-      const auto parsed = LoadBalancerConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<LoadBalancer>(*parsed);
-    });
-}  // namespace
-
-void link_lb_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

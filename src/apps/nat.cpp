@@ -5,7 +5,6 @@
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
 #include "net/wire_layout.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -203,24 +202,7 @@ std::optional<std::uint64_t> StaticNat::table_lookup(std::string_view table,
 }
 
 std::vector<ppe::CounterSnapshot> StaticNat::counters() const {
-  return {
-      {"nat_stats", 0, stats_.packets(0), stats_.bytes(0)},
-      {"nat_stats", 1, stats_.packets(1), stats_.bytes(1)},
-      {"nat_stats", 2, stats_.packets(2), stats_.bytes(2)},
-  };
+  return stats_.snapshot();
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "nat", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<StaticNat>();
-      const auto parsed = NatConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<StaticNat>(*parsed);
-    });
-}  // namespace
-
-/// Force-link hook used by register_builtin_apps().
-void link_nat_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

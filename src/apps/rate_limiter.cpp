@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "hw/resource_model.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -124,11 +123,7 @@ hw::ResourceUsage RateLimiter::resource_usage(
 }
 
 std::vector<ppe::CounterSnapshot> RateLimiter::counters() const {
-  std::vector<ppe::CounterSnapshot> out;
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    out.push_back({"ratelimit_stats", i, stats_.packets(i), stats_.bytes(i)});
-  }
-  return out;
+  return stats_.snapshot();
 }
 
 ppe::StageProfile RateLimiter::profile() const {
@@ -149,17 +144,5 @@ ppe::StageProfile RateLimiter::profile() const {
   profile.pipeline_depth_cycles = pipeline_latency_cycles();
   return profile;
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "ratelimit", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<RateLimiter>();
-      const auto parsed = RateLimiterConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<RateLimiter>(*parsed);
-    });
-}  // namespace
-
-void link_ratelimit_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

@@ -49,7 +49,6 @@ class RateLimiter final : public ppe::PpeApp {
   bool add_subscriber(net::Ipv4Prefix prefix, TokenBucketSpec spec);
   bool remove_subscriber(net::Ipv4Prefix prefix);
 
-  [[nodiscard]] std::uint64_t conformed() const { return stats_.packets(0); }
   [[nodiscard]] std::uint64_t policed() const { return stats_.packets(1); }
   [[nodiscard]] std::vector<ppe::CounterSnapshot> counters() const override;
 

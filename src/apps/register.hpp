@@ -1,9 +1,10 @@
 // Explicit registration entry point.
 //
-// App factories self-register through static initializers, but a static
-// library only links the object files something references. Call this from
-// any binary that loads apps by name (bitstreams, management protocol) to
-// guarantee every built-in app is linked and registered. Idempotent.
+// Every built-in app is registered once, from the table in register.cpp:
+// one row per app maps the name its bitstream carries to a factory that
+// rebuilds it from its serialized config, so adding an app is one row there.
+// Call this from any binary that loads apps by name (bitstreams, management
+// protocol). Idempotent and thread-safe.
 #pragma once
 
 namespace flexsfp::apps {

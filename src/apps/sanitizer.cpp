@@ -2,7 +2,6 @@
 
 #include "hw/resource_model.hpp"
 #include "net/checksum.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -148,11 +147,7 @@ std::optional<std::uint64_t> Sanitizer::table_lookup(std::string_view table,
 }
 
 std::vector<ppe::CounterSnapshot> Sanitizer::counters() const {
-  std::vector<ppe::CounterSnapshot> out;
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    out.push_back({"sanitizer_stats", i, stats_.packets(i), stats_.bytes(i)});
-  }
-  return out;
+  return stats_.snapshot();
 }
 
 ppe::StageProfile Sanitizer::profile() const {
@@ -182,17 +177,5 @@ ppe::StageProfile Sanitizer::profile() const {
   profile.pipeline_depth_cycles = pipeline_latency_cycles();
   return profile;
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "sanitizer", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<Sanitizer>();
-      const auto parsed = SanitizerConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<Sanitizer>(*parsed);
-    });
-}  // namespace
-
-void link_sanitizer_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

@@ -6,7 +6,6 @@
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
 #include "net/wire_layout.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -530,12 +529,7 @@ std::optional<std::uint64_t> LwAftr::table_lookup(std::string_view table,
 }
 
 std::vector<ppe::CounterSnapshot> LwAftr::counters() const {
-  std::vector<ppe::CounterSnapshot> out;
-  out.reserve(stat_count);
-  for (std::size_t i = 0; i < stat_count; ++i) {
-    out.push_back({"lwaftr_stats", i, stats_.packets(i), stats_.bytes(i)});
-  }
-  return out;
+  return stats_.snapshot();
 }
 
 // --- LwB4Config ------------------------------------------------------------
@@ -685,35 +679,7 @@ ppe::StageProfile LwB4::profile() const {
 }
 
 std::vector<ppe::CounterSnapshot> LwB4::counters() const {
-  std::vector<ppe::CounterSnapshot> out;
-  out.reserve(stat_count);
-  for (std::size_t i = 0; i < stat_count; ++i) {
-    out.push_back({"lwb4_stats", i, stats_.packets(i), stats_.bytes(i)});
-  }
-  return out;
-}
-
-namespace {
-const bool registered_aftr = ppe::register_ppe_app(
-    "lwaftr", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<LwAftr>();
-      const auto parsed = LwAftrConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<LwAftr>(*parsed);
-    });
-const bool registered_b4 = ppe::register_ppe_app(
-    "lwb4", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<LwB4>();
-      const auto parsed = LwB4Config::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<LwB4>(*parsed);
-    });
-}  // namespace
-
-/// Force-link hook used by register_builtin_apps().
-void link_softwire_apps() {
-  (void)registered_aftr;
-  (void)registered_b4;
+  return stats_.snapshot();
 }
 
 }  // namespace flexsfp::apps

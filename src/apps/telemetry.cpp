@@ -1,7 +1,6 @@
 #include "apps/telemetry.hpp"
 
 #include "hw/resource_model.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -126,10 +125,7 @@ hw::ResourceUsage IntStamper::resource_usage(
 }
 
 std::vector<ppe::CounterSnapshot> IntStamper::counters() const {
-  return {
-      {"int_stats", 0, stats_.packets(0), stats_.bytes(0)},
-      {"int_stats", 1, stats_.packets(1), stats_.bytes(1)},
-  };
+  return stats_.snapshot();
 }
 
 ppe::StageProfile IntStamper::profile() const {
@@ -278,10 +274,7 @@ hw::ResourceUsage FlowStats::resource_usage(
 }
 
 std::vector<ppe::CounterSnapshot> FlowStats::counters() const {
-  return {
-      {"flow_stats", 0, stats_.packets(0), stats_.bytes(0)},
-      {"flow_stats", 1, stats_.packets(1), stats_.bytes(1)},
-  };
+  return stats_.snapshot();
 }
 
 ppe::StageProfile FlowStats::profile() const {
@@ -348,38 +341,6 @@ ppe::StageProfile Sampler::profile() const {
   // Pure packet-count sampling: no header dependence at all.
   profile.pipeline_depth_cycles = pipeline_latency_cycles();
   return profile;
-}
-
-// --- registration -----------------------------------------------------------
-
-namespace {
-const bool registered_int = ppe::register_ppe_app(
-    "int", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<IntStamper>();
-      const auto parsed = IntStamperConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<IntStamper>(*parsed);
-    });
-const bool registered_flow = ppe::register_ppe_app(
-    "flowstats", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<FlowStats>();
-      const auto parsed = FlowStatsConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<FlowStats>(*parsed);
-    });
-const bool registered_sampler = ppe::register_ppe_app(
-    "sampler", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<Sampler>();
-      const auto parsed = SamplerConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<Sampler>(*parsed);
-    });
-}  // namespace
-
-void link_telemetry_apps() {
-  (void)registered_int;
-  (void)registered_flow;
-  (void)registered_sampler;
 }
 
 }  // namespace flexsfp::apps

@@ -2,7 +2,6 @@
 
 #include "hw/resource_model.hpp"
 #include "net/builder.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -83,10 +82,7 @@ hw::ResourceUsage TunnelApp::resource_usage(
 }
 
 std::vector<ppe::CounterSnapshot> TunnelApp::counters() const {
-  return {
-      {"tunnel_stats", 0, stats_.packets(0), stats_.bytes(0)},
-      {"tunnel_stats", 1, stats_.packets(1), stats_.bytes(1)},
-  };
+  return stats_.snapshot();
 }
 
 ppe::StageProfile TunnelApp::profile() const {
@@ -119,17 +115,5 @@ ppe::StageProfile TunnelApp::profile() const {
   profile.pipeline_depth_cycles = pipeline_latency_cycles();
   return profile;
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "tunnel", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<TunnelApp>();
-      const auto parsed = TunnelConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<TunnelApp>(*parsed);
-    });
-}  // namespace
-
-void link_tunnel_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

@@ -2,7 +2,6 @@
 
 #include "hw/resource_model.hpp"
 #include "net/builder.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::apps {
 
@@ -129,11 +128,7 @@ std::optional<std::uint64_t> VlanTagger::table_lookup(std::string_view table,
 }
 
 std::vector<ppe::CounterSnapshot> VlanTagger::counters() const {
-  std::vector<ppe::CounterSnapshot> out;
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    out.push_back({"vlan_stats", i, stats_.packets(i), stats_.bytes(i)});
-  }
-  return out;
+  return stats_.snapshot();
 }
 
 ppe::StageProfile VlanTagger::profile() const {
@@ -166,17 +161,5 @@ ppe::StageProfile VlanTagger::profile() const {
   profile.pipeline_depth_cycles = pipeline_latency_cycles();
   return profile;
 }
-
-namespace {
-const bool registered = ppe::register_ppe_app(
-    "vlan", [](net::BytesView config) -> ppe::PpeAppPtr {
-      if (config.empty()) return std::make_unique<VlanTagger>();
-      const auto parsed = VlanConfig::parse(config);
-      if (!parsed) return nullptr;
-      return std::make_unique<VlanTagger>(*parsed);
-    });
-}  // namespace
-
-void link_vlan_app() { (void)registered; }
 
 }  // namespace flexsfp::apps

@@ -42,7 +42,6 @@ Crossbar::Crossbar(sim::Simulation& sim, CrossbarConfig config, RouteFn route)
   }
 
   outputs_.resize(n);
-  inputs_.reserve(n);
   for (std::size_t port = 0; port < n; ++port) {
     const obs::Labels labels = {{"out", std::to_string(port)},
                                 {"xbar", name_}};
@@ -50,10 +49,6 @@ Crossbar::Crossbar(sim::Simulation& sim, CrossbarConfig config, RouteFn route)
         sim_.metrics().counter("fabric.xbar.forwarded.packets", labels);
     outputs_[port].forwarded_bytes_id =
         sim_.metrics().counter("fabric.xbar.forwarded.bytes", labels);
-    inputs_.push_back(std::make_unique<sim::LambdaHandler>(
-        [this, port](net::PacketPtr packet) {
-          ingress(port, std::move(packet));
-        }));
   }
 }
 

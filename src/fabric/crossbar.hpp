@@ -18,7 +18,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,11 +46,6 @@ class Crossbar {
 
   /// A packet arriving on input `in` (the far end of module `in`'s cable).
   void ingress(std::size_t in, net::PacketPtr packet);
-  /// PacketHandler facade for input `in`, so a sim::Link or FaultInjector
-  /// can terminate directly on the fabric.
-  [[nodiscard]] sim::PacketHandler& input(std::size_t in) {
-    return *inputs_.at(in);
-  }
   /// Where packets leaving output `out` go (after serialization at port
   /// rate — downstream glue adds propagation delay only, never a second
   /// serialization).
@@ -115,7 +109,6 @@ class Crossbar {
   sim::SerializationTimer ser_;
   std::vector<Crosspoint> xpoints_;  // [in * ports + out]
   std::vector<Output> outputs_;
-  std::vector<std::unique_ptr<sim::LambdaHandler>> inputs_;
   obs::MetricId enqueued_id_;
   obs::MetricId unrouted_id_;
   std::uint16_t flight_stage_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "apps/register.hpp"
-#include "ppe/registry.hpp"
 
 namespace flexsfp::fabric {
 
@@ -170,11 +169,8 @@ void FleetOrchestrator::deploy_bitstream(const std::string& module,
                                          Completion done,
                                          std::size_t chunk_size) {
   if (config_.verify_before_deploy) {
-    // Make sure the built-in factories exist, but never clobber an
-    // already-registered name (tests stub apps by re-registering).
-    if (!ppe::AppRegistry::instance().contains(bitstream.app_name())) {
-      apps::register_builtin_apps();
-    }
+    // Make sure the built-in factories exist; a stubbed name is kept.
+    apps::register_builtin_apps();
     last_verification_ = analysis::PipelineVerifier(config_.verifier)
                              .verify_bitstream(bitstream);
     if (last_verification_.has_errors()) {

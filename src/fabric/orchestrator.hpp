@@ -62,7 +62,6 @@ class FleetOrchestrator {
   /// on the wire toward it (directly or through a switch fabric).
   void add_module(const std::string& name, net::MacAddress module_mac,
                   std::function<void(net::PacketPtr)> transmit);
-  [[nodiscard]] std::size_t fleet_size() const { return modules_.size(); }
 
   /// Feed frames arriving at the orchestrator NIC; management responses are
   /// consumed (true), everything else ignored (false).
@@ -114,9 +113,6 @@ class FleetOrchestrator {
   /// deploy completing).
   void start_health_checks();
   void stop_health_checks();
-  [[nodiscard]] bool health_checks_running() const {
-    return health_checks_running_;
-  }
 
   [[nodiscard]] ModuleHealth health(const std::string& module) const;
   [[nodiscard]] std::uint64_t quarantined_count() const;

@@ -127,9 +127,9 @@ class Packet {
 };
 
 /// Intrusive, pool-aware shared handle with the std::shared_ptr surface the
-/// call sites use (copy/move, ->, *, bool, get, reset, use_count). The
-/// count is not atomic — see the Packet class comment for the ownership
-/// rule that makes that safe.
+/// call sites use (copy/move, ->, *, bool, get, reset). The count is not
+/// atomic — see the Packet class comment for the ownership rule that makes
+/// that safe.
 class PacketPtr {
  public:
   PacketPtr() = default;
@@ -165,9 +165,6 @@ class PacketPtr {
   [[nodiscard]] Packet& operator*() const { return *packet_; }
   [[nodiscard]] Packet* operator->() const { return packet_; }
   [[nodiscard]] explicit operator bool() const { return packet_ != nullptr; }
-  [[nodiscard]] std::uint32_t use_count() const {
-    return packet_ != nullptr ? packet_->refs_ : 0;
-  }
   void reset() { PacketPtr().swap(*this); }
   void swap(PacketPtr& other) noexcept { std::swap(packet_, other.packet_); }
 

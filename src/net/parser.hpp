@@ -70,7 +70,6 @@ struct ParsedPacket {
 
   [[nodiscard]] bool ok() const { return error == ParseError::none; }
   [[nodiscard]] bool is_ipv4() const { return outer.ipv4.has_value(); }
-  [[nodiscard]] bool is_ipv6() const { return outer.ipv6.has_value(); }
   /// Outer-layer IPv4 5-tuple (the key most apps match on).
   [[nodiscard]] std::optional<FiveTuple> five_tuple() const {
     return outer.five_tuple();

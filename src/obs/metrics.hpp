@@ -139,8 +139,6 @@ class MetricRegistry {
     if (id.valid()) values_[id.index] = 0;
   }
 
-  [[nodiscard]] std::size_t series_count() const { return values_.size(); }
-
   /// Deterministic per-registry instance names: "ppe", "ppe1", "ppe2"...
   /// in construction order, so identically built shards produce identical
   /// keys while two components in one simulation never collide.

@@ -23,6 +23,15 @@ std::uint64_t CounterBank::bytes(std::size_t index) const {
   return index < bytes_.size() ? bytes_[index] : 0;
 }
 
+std::vector<CounterSnapshot> CounterBank::snapshot() const {
+  std::vector<CounterSnapshot> out;
+  out.reserve(size());
+  for (std::size_t i = 0; i < size(); ++i) {
+    out.push_back({name_, i, packets_[i], bytes_[i]});
+  }
+  return out;
+}
+
 void CounterBank::clear() {
   std::fill(packets_.begin(), packets_.end(), 0);
   std::fill(bytes_.begin(), bytes_.end(), 0);

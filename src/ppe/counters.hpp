@@ -11,6 +11,17 @@
 
 namespace flexsfp::ppe {
 
+/// Snapshot of one counter for control-plane reads.
+struct CounterSnapshot {
+  std::string bank;
+  std::size_t index = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+
+  friend bool operator==(const CounterSnapshot&,
+                         const CounterSnapshot&) = default;
+};
+
 /// A named bank of saturating 64-bit packet/byte counters.
 class CounterBank {
  public:
@@ -24,6 +35,9 @@ class CounterBank {
   [[nodiscard]] std::uint64_t bytes(std::size_t index) const;
   void clear();
 
+  /// Every slot in index order, named by this bank.
+  [[nodiscard]] std::vector<CounterSnapshot> snapshot() const;
+
   [[nodiscard]] hw::ResourceUsage resource_usage() const {
     // Two 64-bit fields per counter.
     return hw::ResourceModel::counter_bank(packets_.size() * 2, 64);
@@ -33,17 +47,6 @@ class CounterBank {
   std::string name_;
   std::vector<std::uint64_t> packets_;
   std::vector<std::uint64_t> bytes_;
-};
-
-/// Snapshot of one counter for control-plane reads.
-struct CounterSnapshot {
-  std::string bank;
-  std::size_t index = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-
-  friend bool operator==(const CounterSnapshot&,
-                         const CounterSnapshot&) = default;
 };
 
 }  // namespace flexsfp::ppe

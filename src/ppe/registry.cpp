@@ -29,9 +29,4 @@ std::vector<std::string> AppRegistry::names() const {
   return out;
 }
 
-bool register_ppe_app(const std::string& name, AppRegistry::Factory factory) {
-  AppRegistry::instance().register_app(name, std::move(factory));
-  return true;
-}
-
 }  // namespace flexsfp::ppe

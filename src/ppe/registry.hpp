@@ -17,7 +17,9 @@ class AppRegistry {
  public:
   using Factory = std::function<PpeAppPtr(net::BytesView config)>;
 
-  /// The process-wide registry (apps self-register at startup).
+  /// The process-wide registry. Built-ins are registered once from the table
+  /// in apps/register.cpp (apps::register_builtin_apps); adding an app is one
+  /// row there.
   [[nodiscard]] static AppRegistry& instance();
 
   /// Register a factory under `name`. Re-registration replaces (tests rely
@@ -35,9 +37,5 @@ class AppRegistry {
  private:
   std::map<std::string, Factory> factories_;
 };
-
-/// Helper for static registration:
-///   const bool registered = register_ppe_app("nat", [](auto cfg) {...});
-bool register_ppe_app(const std::string& name, AppRegistry::Factory factory);
 
 }  // namespace flexsfp::ppe

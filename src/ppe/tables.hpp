@@ -37,9 +37,6 @@ class ExactMatchTable {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] double load_factor() const {
-    return capacity_ > 0 ? double(size_) / double(capacity_) : 0.0;
-  }
 
   /// Insert or update. False when the target bucket is full or the table is
   /// at capacity (hardware would report this to the control plane).

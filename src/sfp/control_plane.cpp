@@ -53,7 +53,6 @@ void ControlPlane::handle_packet(net::PacketPtr packet) {
 }
 
 void ControlPlane::execute(MgmtRequest request, net::MacAddress reply_to) {
-  ++processed_;
   if (!request.verify(config_.key)) {
     ++auth_failures_;
     respond(MgmtResponse{.seq = request.seq, .status = MgmtStatus::auth_failed, .value = 0, .payload = {}},

@@ -79,7 +79,6 @@ class ControlPlane {
   }
 
   // --- stats ---------------------------------------------------------------
-  [[nodiscard]] std::uint64_t requests_processed() const { return processed_; }
   [[nodiscard]] std::uint64_t auth_failures() const { return auth_failures_; }
   [[nodiscard]] std::uint64_t responses_sent() const { return responses_; }
   [[nodiscard]] std::uint64_t pings_answered() const { return pings_; }
@@ -102,7 +101,6 @@ class ControlPlane {
   std::vector<net::Bytes> chunks_;
   std::size_t chunks_seen_ = 0;
 
-  std::uint64_t processed_ = 0;
   std::uint64_t auth_failures_ = 0;
   std::uint64_t responses_ = 0;
   std::uint64_t pings_ = 0;

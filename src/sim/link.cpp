@@ -41,10 +41,7 @@ void Link::handle_packet(net::PacketPtr packet) {
 }
 
 bool BoundedQueue::push(net::PacketPtr packet) {
-  if (ring_.size() >= capacity_) {
-    ++drops_;
-    return false;
-  }
+  if (ring_.size() >= capacity_) return false;
   ring_.push_back(std::move(packet));
   return true;
 }

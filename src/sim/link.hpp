@@ -103,13 +103,12 @@ class BoundedQueue {
  public:
   explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  /// False (and counted as a drop) when full.
+  /// False when full; the owner counts the drop in its registry series.
   bool push(net::PacketPtr packet);
   [[nodiscard]] net::PacketPtr pop();
   [[nodiscard]] bool empty() const { return ring_.empty(); }
   [[nodiscard]] std::size_t size() const { return ring_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t drops() const { return drops_; }
   // Depth high-watermark bookkeeping lives with the owner's registry gauge
   // (`server.queue_high_watermark`), the single source of truth — a shadow
   // counter here could silently disagree with it.
@@ -117,7 +116,6 @@ class BoundedQueue {
  private:
   std::size_t capacity_;
   Ring<net::PacketPtr> ring_;
-  std::uint64_t drops_ = 0;
 };
 
 /// An M/G/1-style service element: arriving packets wait in a bounded FIFO,

@@ -69,7 +69,6 @@ class DataRate {
   }
 
   [[nodiscard]] constexpr std::uint64_t bps() const { return bps_; }
-  [[nodiscard]] constexpr double gbps_value() const { return double(bps_) * 1e-9; }
 
   /// Time to put `bytes` on the wire at this rate.
   [[nodiscard]] constexpr TimePs serialization_time(std::size_t bytes) const {

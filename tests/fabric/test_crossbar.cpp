@@ -167,14 +167,5 @@ TEST(Crossbar, PerOutputByteAndPacketSeriesCarryLabels) {
   EXPECT_EQ(snapshot.sum("fabric.xbar.enqueued"), 1u);
 }
 
-TEST(Crossbar, InputHandlerFacadeFeedsTheSameIngress) {
-  CrossbarConfig config;
-  config.ports = 2;
-  Rig rig(config);
-  rig.xbar.input(0).handle_packet(frame_of(rig.sim, 64, 1));
-  rig.sim.run();
-  EXPECT_EQ(rig.delivered[1].size(), 1u);
-}
-
 }  // namespace
 }  // namespace flexsfp::fabric

@@ -36,6 +36,15 @@ TEST(CounterBank, ClearResetsEverything) {
   EXPECT_EQ(bank.bytes(1), 0u);
 }
 
+TEST(CounterBank, SnapshotListsEverySlotInIndexOrder) {
+  CounterBank bank("stats", 3);
+  bank.add(2, 64);
+  bank.add(0, 10);
+  const std::vector<CounterSnapshot> expected = {
+      {"stats", 0, 1, 10}, {"stats", 1, 0, 0}, {"stats", 2, 1, 64}};
+  EXPECT_EQ(bank.snapshot(), expected);
+}
+
 TEST(CounterBank, ResourceUsageHasUsram) {
   CounterBank bank("stats", 64);
   EXPECT_GT(bank.resource_usage().usram_blocks, 0u);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "apps/nat.hpp"
 #include "apps/register.hpp"
 
@@ -51,14 +54,48 @@ TEST(AppRegistry, MalformedConfigReturnsNull) {
   EXPECT_EQ(AppRegistry::instance().create("nat", garbage), nullptr);
 }
 
+// The 15 built-ins, in the registry's (sorted) order.
+const std::vector<std::string> kBuiltins = {
+    "acl", "bpf", "faultmon", "flowstats", "int", "ipv6filter", "lb",
+    "lwaftr", "lwb4", "nat", "ratelimit", "sampler", "sanitizer",
+    "tunnel", "vlan"};
+
 TEST(AppRegistry, NamesEnumerates) {
   apps::register_builtin_apps();
-  const auto names = AppRegistry::instance().names();
-  EXPECT_GE(names.size(), 11u);
+  EXPECT_EQ(AppRegistry::instance().names(), kBuiltins);
+}
+
+TEST(AppRegistry, EveryBuiltinRoundTripsItsConfig) {
+  apps::register_builtin_apps();
+  const auto& registry = AppRegistry::instance();
+  ASSERT_EQ(registry.names(), kBuiltins);
+  for (const auto& name : kBuiltins) {
+    const auto app = registry.create(name, {});
+    ASSERT_NE(app, nullptr) << name;
+    // Golden reboot looks an app up by the name its bitstream carries.
+    EXPECT_EQ(app->name(), name);
+    const net::Bytes config = app->serialize_config();
+    const auto rebuilt = registry.create(name, config);
+    ASSERT_NE(rebuilt, nullptr) << name;
+    EXPECT_EQ(rebuilt->serialize_config(), config) << name;
+  }
+}
+
+TEST(AppRegistryParallel, BuiltinsRegisterOnceFromManyThreads) {
+  std::vector<PpeAppPtr> created(4);
+  std::vector<std::thread> threads;
+  for (auto& app : created) {
+    threads.emplace_back([&app] {
+      apps::register_builtin_apps();
+      app = AppRegistry::instance().create("nat", {});
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& app : created) EXPECT_NE(app, nullptr);
 }
 
 TEST(AppRegistry, ReRegistrationReplaces) {
-  auto& registry = AppRegistry::instance();
+  AppRegistry registry;  // a private registry: the stub never leaks
   registry.register_app("test-stub", [](net::BytesView) -> PpeAppPtr {
     return nullptr;
   });

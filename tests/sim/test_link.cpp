@@ -66,7 +66,6 @@ TEST(BoundedQueue, DropsWhenFull) {
   EXPECT_TRUE(queue.push(packet_of(1)));
   EXPECT_TRUE(queue.push(packet_of(2)));
   EXPECT_FALSE(queue.push(packet_of(3)));
-  EXPECT_EQ(queue.drops(), 1u);
   EXPECT_EQ(queue.size(), 2u);
 }
 
