@@ -106,36 +106,32 @@ int main(int argc, char** argv) {
       });
     }
     const auto result = testbed.run();
-    const auto& tally = result.edge_fault_tally;
+    const fabric::FabricLedger& ledger = result.ledger;
 
-    // The black-hole audit, both ledgers:
-    //   injector:  delivered + total_dropped == sent + duplicated
-    //   module:    received == delivered - queue drops - app drops - dark
+    // The black-hole audit: generated + injector duplicates == delivered +
+    // every named drop (injector, PPE/arbiter queues, app, dark window, ...).
     const std::uint64_t sent = result.edge_to_optical.sent_packets;
     const std::uint64_t received = result.edge_to_optical.received_packets;
-    const std::uint64_t delivered = has_injector ? tally.delivered : sent;
-    const std::uint64_t dark = testbed.module().packets_lost_while_dark();
-    const bool injector_balanced =
-        !has_injector ||
-        tally.delivered + tally.total_dropped() == sent + tally.duplicated;
-    const std::uint64_t accounted =
-        delivered - result.ppe_queue_drops - result.app_drops - dark;
     const std::uint64_t unaccounted =
-        accounted >= received ? accounted - received : received - accounted;
+        ledger.injected() >= ledger.accounted()
+            ? ledger.injected() - ledger.accounted()
+            : ledger.accounted() - ledger.injected();
     const bool recovered =
         !scenario.degrade_mid_run ||
         (reboot_ok && testbed.module().state() == sfp::ModuleState::running);
-    const bool balanced = injector_balanced && unaccounted == 0 && recovered;
+    const bool balanced = unaccounted == 0 && recovered;
     all_balanced = all_balanced && balanced;
 
     std::printf("%-9s %9llu %9llu %8llu %8llu %8llu %8llu %8llu %10llu %6s\n",
                 scenario.name, static_cast<unsigned long long>(sent),
                 static_cast<unsigned long long>(received),
-                static_cast<unsigned long long>(tally.total_dropped()),
-                static_cast<unsigned long long>(tally.flap_dropped),
-                static_cast<unsigned long long>(tally.corrupted),
-                static_cast<unsigned long long>(tally.duplicated),
-                static_cast<unsigned long long>(dark),
+                static_cast<unsigned long long>(ledger.fault_dropped),
+                static_cast<unsigned long long>(
+                    result.metrics.sum("fault.flap_dropped")),
+                static_cast<unsigned long long>(
+                    result.metrics.sum("fault.corrupted")),
+                static_cast<unsigned long long>(ledger.duplicated),
+                static_cast<unsigned long long>(ledger.dark_drops),
                 static_cast<unsigned long long>(unaccounted),
                 balanced ? "yes" : "NO");
 
@@ -143,7 +139,7 @@ int main(int argc, char** argv) {
     figures.emplace_back(prefix + "sent", double(sent));
     figures.emplace_back(prefix + "received", double(received));
     figures.emplace_back(prefix + "injected_drops",
-                         double(tally.total_dropped()));
+                         double(ledger.fault_dropped));
     figures.emplace_back(prefix + "unaccounted", double(unaccounted));
     if (scenario.degrade_mid_run) {
       figures.emplace_back(prefix + "degraded_forwards",

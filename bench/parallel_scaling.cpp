@@ -43,11 +43,9 @@ int main(int argc, char** argv) {
   spec.duration = duration_us * 1_us;
   config.prototype.edge_traffic = spec;
 
-  auto factory = [] { return std::make_unique<apps::StaticNat>(); };
-
-  config.workers = 1;
-  fabric::ParallelTestbed sequential_bed(config, factory);
-  const auto oracle = sequential_bed.run_sequential();
+  fabric::ParallelTestbed bed(
+      config, [] { return std::make_unique<apps::StaticNat>(); });
+  const auto oracle = bed.run(1);
 
   std::printf("%-10s %12s %10s %14s %12s\n", "workers", "wall (s)", "speedup",
               "events/s", "identical?");
@@ -59,9 +57,7 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   for (unsigned workers : {2u, 4u, 8u}) {
     if (workers > shards) break;
-    config.workers = workers;
-    fabric::ParallelTestbed bed(config, factory);
-    const auto run = bed.run();
+    const auto run = bed.run(workers);
     // The determinism self-check covers the whole result: every merged
     // registry series, the merged latency histogram and the event count.
     const bool same = run.metrics == oracle.metrics &&
@@ -75,16 +71,14 @@ int main(int argc, char** argv) {
   }
   bench::rule(64);
 
-  const obs::MetricSnapshot& counts = oracle.metrics;
-  const std::uint64_t drops = counts.sum("server.queue_drops") +
-                              counts.sum("engine.app_drops") +
-                              counts.sum("module.dark_drops");
+  const auto ledger = fabric::FabricLedger::from_snapshot(oracle.metrics);
   std::printf(
       "\ncombined: sent=%llu received=%llu drops=%llu p50=%.1fns "
       "p99=%.1fns events=%llu\n",
-      static_cast<unsigned long long>(counts.sum("gen.emitted.packets")),
-      static_cast<unsigned long long>(counts.sum("sink.received.packets")),
-      static_cast<unsigned long long>(drops),
+      static_cast<unsigned long long>(ledger.sent),
+      static_cast<unsigned long long>(ledger.delivered),
+      static_cast<unsigned long long>(ledger.queue_drops + ledger.app_drops +
+                                      ledger.dark_drops),
       to_nanos(oracle.latency.percentile(50)),
       to_nanos(oracle.latency.percentile(99)),
       static_cast<unsigned long long>(oracle.events));

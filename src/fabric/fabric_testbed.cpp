@@ -65,33 +65,14 @@ FabricModuleResult module_result(const detail::ModuleRig& rig,
   FabricModuleResult out;
   out.sent_packets = rig.gen->emitted().packets();
   out.received_packets = rig.edge_sink->received().packets();
-  out.offered_gbps = rig.gen->emitted().bits_per_second(duration) * 1e-9;
   out.delivered_gbps =
       rig.edge_sink->received().bits_per_second(duration) * 1e-9;
   out.latency_p50_ns = sim::to_nanos(rig.edge_sink->latency().percentile(50));
   out.latency_p99_ns = sim::to_nanos(rig.edge_sink->latency().percentile(99));
-  out.latency_max_ns = sim::to_nanos(rig.edge_sink->latency().max());
   return out;
 }
 
 }  // namespace
-
-FabricLedger FabricLedger::from_snapshot(const obs::MetricSnapshot& snapshot) {
-  FabricLedger ledger;
-  ledger.sent = snapshot.sum("gen.emitted.packets");
-  ledger.delivered = snapshot.sum("sink.received.packets");
-  ledger.duplicated = snapshot.sum("fault.duplicated");
-  ledger.fault_dropped = snapshot.sum("fault.dropped") +
-                         snapshot.sum("fault.target_dropped") +
-                         snapshot.sum("fault.flap_dropped");
-  ledger.queue_drops = snapshot.sum("server.queue_drops");
-  ledger.dark_drops = snapshot.sum("module.dark_drops");
-  ledger.app_drops = snapshot.sum("engine.app_drops");
-  ledger.control_punts = snapshot.sum("shell.control_punts");
-  ledger.crosspoint_drops = snapshot.sum("fabric.xbar.crosspoint_drops");
-  ledger.unrouted = snapshot.sum("fabric.xbar.unrouted");
-  return ledger;
-}
 
 // --- sequential engine -------------------------------------------------------
 
@@ -374,7 +355,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
   }
   out.events += worlds[xbar_world]->sim.executed_events();
   // Merge per-world snapshots in world order with a disambiguating label —
-  // the same discipline (and the same resulting object for workers = 1) as
+  // the same discipline (and the same resulting object for run(1)) as
   // every other worker count, which is the property the tests assert.
   for (std::size_t i = 0; i < modules; ++i) {
     out.metrics.merge(worlds[i]->sim.metrics().snapshot().with_label(

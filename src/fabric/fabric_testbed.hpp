@@ -71,40 +71,9 @@ struct ModuleRig {
 struct FabricModuleResult {
   std::uint64_t sent_packets = 0;
   std::uint64_t received_packets = 0;
-  double offered_gbps = 0;
   double delivered_gbps = 0;
   double latency_p50_ns = 0;
   double latency_p99_ns = 0;
-  double latency_max_ns = 0;
-};
-
-/// The zero-black-hole equation, read back from the merged registry
-/// snapshot: everything injected equals everything delivered plus every
-/// named drop counter along the path (fault injectors, PPE/arbiter queues,
-/// dark modules, app verdicts, control punts, crossbar crosspoints and
-/// unroutable frames).
-struct FabricLedger {
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t duplicated = 0;        // fault-injected extra packets
-  std::uint64_t fault_dropped = 0;     // random + targeted + flap loss
-  std::uint64_t queue_drops = 0;       // PPE ingress + egress arbiter FIFOs
-  std::uint64_t dark_drops = 0;
-  std::uint64_t app_drops = 0;
-  std::uint64_t control_punts = 0;
-  std::uint64_t crosspoint_drops = 0;
-  std::uint64_t unrouted = 0;
-
-  [[nodiscard]] std::uint64_t injected() const { return sent + duplicated; }
-  [[nodiscard]] std::uint64_t accounted() const {
-    return delivered + fault_dropped + queue_drops + dark_drops + app_drops +
-           control_punts + crosspoint_drops + unrouted;
-  }
-  [[nodiscard]] bool balanced() const { return injected() == accounted(); }
-
-  /// Read the equation's terms out of a (merged) snapshot.
-  [[nodiscard]] static FabricLedger from_snapshot(
-      const obs::MetricSnapshot& snapshot);
 };
 
 struct FabricRunResult {
@@ -156,7 +125,6 @@ class FabricParallelTestbed {
   /// hardware thread, 1 = sequential oracle). Callable repeatedly; every
   /// call replays the identical experiment.
   [[nodiscard]] FabricRunResult run(unsigned workers);
-  [[nodiscard]] FabricRunResult run_sequential() { return run(1); }
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
 

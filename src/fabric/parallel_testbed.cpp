@@ -77,8 +77,8 @@ ShardOutcome ParallelTestbed::run_shard(std::size_t shard,
   }
 
   ModuleTestbed testbed(std::move(config), std::move(app));
-  out.result = testbed.run();
-  out.metrics = out.result.metrics.with_label("shard", std::to_string(shard));
+  out.metrics =
+      testbed.run().metrics.with_label("shard", std::to_string(shard));
   out.latency.merge(testbed.edge_sink().latency());
   out.latency.merge(testbed.optical_sink().latency());
   out.events = testbed.sim().executed_events();
@@ -86,11 +86,7 @@ ShardOutcome ParallelTestbed::run_shard(std::size_t shard,
   return out;
 }
 
-ParallelRunResult ParallelTestbed::run() { return run_with(config_.workers); }
-
-ParallelRunResult ParallelTestbed::run_sequential() { return run_with(1); }
-
-ParallelRunResult ParallelTestbed::run_with(unsigned workers) {
+ParallelRunResult ParallelTestbed::run(unsigned workers) {
   ParallelRunResult out;
   out.workers_used = sim::resolve_threads(config_.shards, workers);
   out.shards.resize(config_.shards);

@@ -7,9 +7,9 @@
 // Simulation, FlexSfpModule, TrafficGen and Rng stream, shards run on
 // worker threads, and each shard's registry snapshot and sink latency
 // histograms are merged at the join barrier *in shard order*. Results are
-// therefore bit-identical to the sequential run (workers = 1), which tests
-// use as the oracle. The merged snapshot is the run's only count: sent,
-// received, every drop class and every app counter are series in it.
+// therefore bit-identical to the sequential run(1), which tests use as the
+// oracle. The merged snapshot is the run's only count: sent, received,
+// every drop class and every app counter are series in it.
 #pragma once
 
 #include <functional>
@@ -28,8 +28,6 @@ using AppFactory = std::function<ppe::PpeAppPtr()>;
 struct ParallelTestbedConfig {
   /// One FlexSFP module (= one switch port) per shard.
   std::size_t shards = 8;
-  /// Worker threads: 1 = sequential oracle, 0 = one per hardware thread.
-  unsigned workers = 0;
   /// Every per-shard Rng stream derives from this via splitmix hashing —
   /// never seed + shard_id (adjacent mt19937_64 seeds correlate).
   std::uint64_t base_seed = 1;
@@ -41,7 +39,6 @@ struct ParallelTestbedConfig {
 /// Everything one shard measured.
 struct ShardOutcome {
   std::size_t shard = 0;
-  TestbedResult result{};
   /// The shard's registry snapshot re-labeled {shard=<id>}; shards build
   /// identical topologies, so the label is what keeps series distinct.
   obs::MetricSnapshot metrics;
@@ -59,7 +56,7 @@ struct ShardOutcome {
 struct ParallelRunResult {
   std::vector<ShardOutcome> shards;
   /// Key-wise merge of every shard's labeled snapshot, in shard order —
-  /// identical for any worker count, including the sequential oracle.
+  /// identical for any worker count, including the sequential oracle run(1).
   obs::MetricSnapshot metrics;
   /// Shard latencies merged in shard order (the mean is a floating-point
   /// sum, so the fixed order is what keeps it bit-identical).
@@ -73,10 +70,10 @@ class ParallelTestbed {
  public:
   ParallelTestbed(ParallelTestbedConfig config, AppFactory app_factory);
 
-  /// Run all shards with the configured worker count and merge.
-  [[nodiscard]] ParallelRunResult run();
-  /// The oracle: same shards, one thread, same merge path.
-  [[nodiscard]] ParallelRunResult run_sequential();
+  /// Run every shard with up to `workers` threads (0 = one per hardware
+  /// thread, 1 = the sequential oracle) and merge. Callable repeatedly;
+  /// every call replays the identical experiment.
+  [[nodiscard]] ParallelRunResult run(unsigned workers);
 
   /// The traffic spec shard `shard` runs for a direction: stream-derived
   /// seed plus a disjoint flow-space slice. `direction` disambiguates the
@@ -95,7 +92,6 @@ class ParallelTestbed {
       std::size_t shard, unsigned direction);
 
  private:
-  [[nodiscard]] ParallelRunResult run_with(unsigned workers);
   [[nodiscard]] ShardOutcome run_shard(std::size_t shard,
                                        ppe::PpeAppPtr app) const;
 

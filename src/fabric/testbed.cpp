@@ -77,11 +77,27 @@ DirectionResult direction_result(const TrafficGen* gen, const Sink& sink,
           : 0.0;
   out.latency_p50_ns = sim::to_nanos(sink.latency().percentile(50));
   out.latency_p99_ns = sim::to_nanos(sink.latency().percentile(99));
-  out.latency_max_ns = sim::to_nanos(sink.latency().max());
   return out;
 }
 
 }  // namespace
+
+FabricLedger FabricLedger::from_snapshot(const obs::MetricSnapshot& snapshot) {
+  FabricLedger ledger;
+  ledger.sent = snapshot.sum("gen.emitted.packets");
+  ledger.delivered = snapshot.sum("sink.received.packets");
+  ledger.duplicated = snapshot.sum("fault.duplicated");
+  ledger.fault_dropped = snapshot.sum("fault.dropped") +
+                         snapshot.sum("fault.target_dropped") +
+                         snapshot.sum("fault.flap_dropped");
+  ledger.queue_drops = snapshot.sum("server.queue_drops");
+  ledger.dark_drops = snapshot.sum("module.dark_drops");
+  ledger.app_drops = snapshot.sum("engine.app_drops");
+  ledger.control_punts = snapshot.sum("shell.control_punts");
+  ledger.crosspoint_drops = snapshot.sum("fabric.xbar.crosspoint_drops");
+  ledger.unrouted = snapshot.sum("fabric.xbar.unrouted");
+  return ledger;
+}
 
 TestbedResult ModuleTestbed::run() {
   if (edge_gen_) edge_gen_->start();
@@ -105,14 +121,11 @@ TestbedResult ModuleTestbed::run() {
       direction_result(edge_gen_.get(), *optical_sink_, duration);
   result.optical_to_edge =
       direction_result(optical_gen_.get(), *edge_sink_, duration);
-  result.ppe_queue_drops = module_->shell().engine().drops();
-  result.app_drops = module_->shell().engine().dropped_by_app();
   result.ppe_utilization =
       module_->shell().engine().utilization(duration);
   result.power = module_->power(duration);
-  if (edge_faults_) result.edge_fault_tally = edge_faults_->tally();
-  if (optical_faults_) result.optical_fault_tally = optical_faults_->tally();
   result.metrics = sim_.metrics().snapshot();
+  result.ledger = FabricLedger::from_snapshot(result.metrics);
   return result;
 }
 

@@ -45,23 +45,46 @@ struct DirectionResult {
   double loss_rate = 0;
   double latency_p50_ns = 0;
   double latency_p99_ns = 0;
-  double latency_max_ns = 0;
+};
+
+/// The zero-black-hole equation every harness (ModuleTestbed, ParallelTestbed
+/// and both fabric engines) closes over its (merged) registry snapshot: all
+/// the generators injected, plus fault duplicates, equals all delivered plus
+/// every named drop counter along the path. Frames injected around the
+/// generators (management pings, control responses) are not a term.
+struct FabricLedger {
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t duplicated = 0;        // fault-injected extra packets
+  std::uint64_t fault_dropped = 0;     // random + targeted + flap loss
+  std::uint64_t queue_drops = 0;       // PPE ingress + egress arbiter FIFOs
+  std::uint64_t dark_drops = 0;
+  std::uint64_t app_drops = 0;
+  std::uint64_t control_punts = 0;
+  std::uint64_t crosspoint_drops = 0;
+  std::uint64_t unrouted = 0;
+
+  [[nodiscard]] std::uint64_t injected() const { return sent + duplicated; }
+  [[nodiscard]] std::uint64_t accounted() const {
+    return delivered + fault_dropped + queue_drops + dark_drops + app_drops +
+           control_punts + crosspoint_drops + unrouted;
+  }
+  [[nodiscard]] bool balanced() const { return injected() == accounted(); }
+
+  /// Read the equation's terms out of a (merged) snapshot.
+  [[nodiscard]] static FabricLedger from_snapshot(
+      const obs::MetricSnapshot& snapshot);
 };
 
 struct TestbedResult {
   DirectionResult edge_to_optical;
   DirectionResult optical_to_edge;
-  std::uint64_t ppe_queue_drops = 0;
-  std::uint64_t app_drops = 0;
   double ppe_utilization = 0;
   hw::PowerBreakdown power{};
   sim::TimePs duration = 0;
-  /// Injected-fault accounting per port (zeroed when no injector was
-  /// configured) — the chaos experiments' loss ledger.
-  sim::FaultTally edge_fault_tally{};
-  sim::FaultTally optical_fault_tally{};
   /// Every registry series of the run (components + app counters).
   obs::MetricSnapshot metrics;
+  FabricLedger ledger;  // read from `metrics`
 };
 
 /// One module, a source and sink per direction. Owns the simulation.
@@ -73,11 +96,6 @@ class ModuleTestbed {
   [[nodiscard]] sfp::FlexSfpModule& module() { return *module_; }
   [[nodiscard]] Sink& edge_sink() { return *edge_sink_; }
   [[nodiscard]] Sink& optical_sink() { return *optical_sink_; }
-  /// Configured generators; nullptr when the direction carries no traffic.
-  [[nodiscard]] const TrafficGen* edge_gen() const { return edge_gen_.get(); }
-  [[nodiscard]] const TrafficGen* optical_gen() const {
-    return optical_gen_.get();
-  }
   /// Configured fault injectors; nullptr when the port has none.
   [[nodiscard]] sim::FaultInjector* edge_faults() {
     return edge_faults_.get();

@@ -9,6 +9,8 @@ namespace {
 
 constexpr std::uint32_t pcap_magic = 0xa1b2c3d4;
 constexpr std::uint32_t linktype_ethernet = 1;
+/// libpcap's MAXIMUM_SNAPLEN: no record of a sane capture is longer.
+constexpr std::uint32_t max_snaplen = 262'144;
 
 void put_le32(std::ofstream& out, std::uint32_t v) {
   std::array<char, 4> b{static_cast<char>(v & 0xff),
@@ -65,9 +67,10 @@ std::optional<std::vector<PcapRecord>> read_pcap(const std::string& path) {
   if (!in) return std::nullopt;
   const auto magic = get_le32(in);
   if (!magic || *magic != pcap_magic) return std::nullopt;
-  // Skip version/zone/sigfigs/snaplen, check linktype.
-  std::array<char, 16> skip{};
+  // Skip version/zone/sigfigs, read snaplen, check linktype.
+  std::array<char, 12> skip{};
   in.read(skip.data(), skip.size());
+  const std::uint32_t snaplen = get_le32(in).value_or(0);
   const auto linktype = get_le32(in);
   if (!linktype || *linktype != linktype_ethernet) return std::nullopt;
 
@@ -79,6 +82,8 @@ std::optional<std::vector<PcapRecord>> read_pcap(const std::string& path) {
     const auto caplen = get_le32(in);
     const auto origlen = get_le32(in);
     if (!ts_usec || !caplen || !origlen) return std::nullopt;  // truncated
+    // The length is untrusted: check it before sizing a buffer by it.
+    if (*caplen > snaplen || *caplen > max_snaplen) return std::nullopt;
     PcapRecord record;
     record.timestamp_us =
         std::int64_t{*ts_sec} * 1000000 + std::int64_t{*ts_usec};

@@ -34,7 +34,8 @@ class PcapWriter {
 };
 
 /// Read every record of a classic pcap file; returns nullopt when the file
-/// is missing or has a bad magic/linktype.
+/// is missing, has a bad magic/linktype, is truncated, or holds a record
+/// longer than the header's snaplen (or libpcap's 262,144-byte maximum).
 [[nodiscard]] std::optional<std::vector<PcapRecord>> read_pcap(
     const std::string& path);
 

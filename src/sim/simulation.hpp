@@ -95,11 +95,6 @@ class Simulation {
   [[nodiscard]] obs::FlightRecorder& flight() { return flight_; }
   [[nodiscard]] const obs::FlightRecorder& flight() const { return flight_; }
 
-  /// Event-queue hot-path tallies (also visible as sim.queue.* series).
-  [[nodiscard]] const EventQueue::Stats& queue_stats() const {
-    return queue_.stats();
-  }
-
  private:
   /// Pop and invoke the earliest event. Precondition: !empty().
   void execute_next();

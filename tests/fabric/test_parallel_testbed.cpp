@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
 
 #include "apps/nat.hpp"
@@ -36,11 +37,9 @@ TEST(ParallelTestbed, ParallelEqualsSequentialOracleAcrossSeeds) {
   for (const auto& [seed, workers] :
        {std::pair{1ull, 4u}, std::pair{7ull, 4u}, std::pair{20260806ull, 4u},
         std::pair{1ull, 2u}, std::pair{7ull, 2u}}) {
-    auto config = two_way_config(seed, 4);
-    config.workers = workers;
-    ParallelTestbed parallel_bed(config, nat_factory());
-    const auto parallel = parallel_bed.run();
-    const auto sequential = parallel_bed.run_sequential();
+    ParallelTestbed parallel_bed(two_way_config(seed, 4), nat_factory());
+    const auto parallel = parallel_bed.run(workers);
+    const auto sequential = parallel_bed.run(1);
 
     ASSERT_GT(parallel.metrics.sum("gen.emitted.packets"), 0u)
         << "seed " << seed << " workers " << workers;
@@ -61,41 +60,36 @@ TEST(ParallelTestbed, ParallelEqualsSequentialOracleAcrossSeeds) {
       EXPECT_EQ(p.metrics, s.metrics);
       EXPECT_EQ(p.latency, s.latency);
       EXPECT_EQ(p.events, s.events);
-      EXPECT_EQ(p.result.edge_to_optical.latency_p99_ns,
-                s.result.edge_to_optical.latency_p99_ns);
       EXPECT_EQ(p.flight, s.flight);
     }
   }
 }
 
 TEST(ParallelTestbed, RepeatedParallelRunsAreDeterministic) {
-  auto config = two_way_config(3, 3);
-  config.workers = 3;
-  ParallelTestbed bed(config, nat_factory());
-  const auto first = bed.run();
-  const auto second = bed.run();
+  ParallelTestbed bed(two_way_config(3, 3), nat_factory());
+  const auto first = bed.run(3);
+  const auto second = bed.run(3);
   EXPECT_EQ(first.metrics, second.metrics);
   EXPECT_EQ(first.latency, second.latency);
   EXPECT_EQ(first.events, second.events);
 }
 
 TEST(ParallelTestbed, MergedSnapshotCarriesShardLabeledSeries) {
-  auto config = two_way_config(11, 2);
-  config.workers = 2;
-  ParallelTestbed bed(config, nat_factory());
-  const auto run = bed.run();
+  ParallelTestbed bed(two_way_config(11, 2), nat_factory());
+  const auto run = bed.run(2);
   // Identical shard topologies stay distinct through the {shard=N} label,
   // and sum() folds the per-shard series back into the global count.
-  EXPECT_EQ(run.metrics.value("gen.emitted.packets{gen=gen,shard=0}"),
-            run.shards[0].result.edge_to_optical.sent_packets);
-  EXPECT_EQ(run.metrics.value("gen.emitted.packets{gen=gen1,shard=0}"),
-            run.shards[0].result.optical_to_edge.sent_packets);
   std::uint64_t sent = 0, received = 0;
   for (const auto& shard : run.shards) {
-    sent += shard.result.edge_to_optical.sent_packets +
-            shard.result.optical_to_edge.sent_packets;
-    received += shard.result.edge_to_optical.received_packets +
-                shard.result.optical_to_edge.received_packets;
+    const std::string label = ",shard=" + std::to_string(shard.shard) + "}";
+    const std::string edge = "gen.emitted.packets{gen=gen" + label;
+    const std::string optical = "gen.emitted.packets{gen=gen1" + label;
+    EXPECT_GT(shard.metrics.value(edge), 0u);
+    EXPECT_GT(shard.metrics.value(optical), 0u);
+    EXPECT_EQ(run.metrics.value(edge), shard.metrics.value(edge));
+    EXPECT_EQ(run.metrics.value(optical), shard.metrics.value(optical));
+    sent += shard.metrics.value(edge) + shard.metrics.value(optical);
+    received += shard.metrics.sum("sink.received.packets");
   }
   EXPECT_EQ(run.metrics.sum("gen.emitted.packets"), sent);
   EXPECT_EQ(run.metrics.sum("sink.received.packets"), received);
@@ -127,29 +121,29 @@ std::uint64_t nat_missed(const obs::MetricSnapshot& snap) {
 }
 
 TEST(ParallelTestbed, CombinedIsTheSumOfShards) {
-  auto config = two_way_config(5, 4);
-  config.workers = 2;
-  ParallelTestbed bed(config, nat_factory());
-  const auto run = bed.run();
+  ParallelTestbed bed(two_way_config(5, 4), nat_factory());
+  const auto run = bed.run(2);
 
-  const auto drops = [](const obs::MetricSnapshot& snap) {
-    return snap.sum("server.queue_drops") + snap.sum("engine.app_drops") +
-           snap.sum("module.dark_drops");
+  const auto drops = [](const FabricLedger& ledger) {
+    return ledger.queue_drops + ledger.app_drops + ledger.dark_drops;
   };
   std::uint64_t sent = 0, received = 0, dropped = 0, missed = 0;
   std::uint64_t latency_count = 0, events = 0;
   for (const auto& shard : run.shards) {
-    sent += shard.metrics.sum("gen.emitted.packets");
-    received += shard.metrics.sum("sink.received.packets");
-    dropped += drops(shard.metrics);
+    const auto ledger = FabricLedger::from_snapshot(shard.metrics);
+    sent += ledger.sent;
+    received += ledger.delivered;
+    dropped += drops(ledger);
     missed += nat_missed(shard.metrics);
     latency_count += shard.latency.count();
     events += shard.events;
   }
+  const auto combined = FabricLedger::from_snapshot(run.metrics);
   EXPECT_GT(sent, 0u);
-  EXPECT_EQ(run.metrics.sum("gen.emitted.packets"), sent);
-  EXPECT_EQ(run.metrics.sum("sink.received.packets"), received);
-  EXPECT_EQ(drops(run.metrics), dropped);
+  EXPECT_EQ(combined.sent, sent);
+  EXPECT_EQ(combined.delivered, received);
+  EXPECT_EQ(drops(combined), dropped);
+  EXPECT_TRUE(combined.balanced());
   // No mappings are installed, so every processed packet misses.
   EXPECT_GT(missed, 0u);
   EXPECT_EQ(nat_missed(run.metrics), missed);
@@ -185,12 +179,11 @@ TEST(ParallelTestbed, WorkersUsedNeverOversubscribesTheHardware) {
   auto config = two_way_config(5, hardware + 1);
   config.prototype.edge_traffic->duration = 5_us;
   config.prototype.optical_traffic->duration = 5_us;
-  config.workers = hardware + 2;
   ParallelTestbed bed(config, nat_factory());
-  const auto run = bed.run();
+  const auto run = bed.run(hardware + 2);
   EXPECT_LE(run.workers_used, hardware);
   EXPECT_GE(run.workers_used, 1u);
-  EXPECT_EQ(bed.run_sequential().workers_used, 1u);
+  EXPECT_EQ(bed.run(1).workers_used, 1u);
 }
 
 TEST(ParallelTestbed, RejectsDegenerateConfigs) {

@@ -21,7 +21,7 @@ TEST(ModuleTestbed, NatAtLineRateLosesNothing) {
   const auto result = testbed.run();
   EXPECT_GT(result.edge_to_optical.sent_packets, 2000u);
   EXPECT_DOUBLE_EQ(result.edge_to_optical.loss_rate, 0.0);
-  EXPECT_EQ(result.ppe_queue_drops, 0u);
+  EXPECT_EQ(result.ledger.queue_drops, 0u);
   EXPECT_NEAR(result.edge_to_optical.delivered_gbps,
               result.edge_to_optical.offered_gbps, 0.05);
 }
@@ -55,7 +55,7 @@ TEST(ModuleTestbed, TwoWayCoreOverloadsAtBidirectionalMinFrames) {
 
   ModuleTestbed testbed(std::move(config), std::make_unique<apps::StaticNat>());
   const auto result = testbed.run();
-  EXPECT_GT(result.ppe_queue_drops, 0u);
+  EXPECT_GT(result.ledger.queue_drops, 0u);
   EXPECT_GT(result.edge_to_optical.loss_rate + result.optical_to_edge.loss_rate,
             0.1);
 }
@@ -76,7 +76,7 @@ TEST(ModuleTestbed, TwoWayCoreAtDoubleClockSustainsBothDirections) {
 
   ModuleTestbed testbed(std::move(config), std::make_unique<apps::StaticNat>());
   const auto result = testbed.run();
-  EXPECT_EQ(result.ppe_queue_drops, 0u);
+  EXPECT_EQ(result.ledger.queue_drops, 0u);
   EXPECT_LT(result.edge_to_optical.loss_rate, 0.001);
   EXPECT_LT(result.optical_to_edge.loss_rate, 0.001);
 }

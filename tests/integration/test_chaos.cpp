@@ -50,7 +50,8 @@ TEST(ChaosSoak, NoPacketIsEverBlackHoled) {
   fabric::ModuleTestbed testbed(std::move(config),
                                 std::make_unique<PassApp>());
   const auto result = testbed.run();
-  const auto& tally = result.edge_fault_tally;
+  const FaultTally tally = testbed.edge_faults()->tally();
+  const fabric::FabricLedger& ledger = result.ledger;
 
   ASSERT_GT(result.edge_to_optical.sent_packets, 0u);
   // The injector's ledger balances: everything offered is delivered,
@@ -60,17 +61,99 @@ TEST(ChaosSoak, NoPacketIsEverBlackHoled) {
   EXPECT_GT(tally.dropped, 0u);
   EXPECT_GT(tally.flap_dropped, 0u);  // the 50 us outage really bit
 
-  // Downstream of the injector the module keeps its own ledger; the sink
-  // receives exactly what survived every *named* loss mechanism.
+  // Downstream of the injector the sink receives exactly what survived
+  // every *named* loss mechanism, and the one ledger closes end to end.
   EXPECT_EQ(result.edge_to_optical.received_packets,
-            tally.delivered - result.ppe_queue_drops - result.app_drops -
-                testbed.module().packets_lost_while_dark());
+            tally.delivered - ledger.queue_drops - ledger.app_drops -
+                ledger.dark_drops);
+  EXPECT_EQ(ledger.fault_dropped, tally.total_dropped());
+  EXPECT_EQ(ledger.duplicated, tally.duplicated);
+  EXPECT_TRUE(ledger.balanced());
 
   // And the same story is visible through the obs:: registry.
   EXPECT_EQ(result.metrics.value("fault.dropped{injector=fault.edge}"),
             tally.dropped);
   EXPECT_EQ(result.metrics.value("fault.delivered{injector=fault.edge}"),
             tally.delivered);
+}
+
+// Faults on both ports of one module: random and flap loss, BER, duplicates
+// and reorder. Whatever the shell, every generated packet (plus every
+// injector-minted duplicate) is delivered or sits in one named drop term.
+FaultSpec both_ports_faults(std::uint64_t seed) {
+  FaultSpec faults;
+  faults.drop_prob = 0.05;
+  faults.ber = 1e-4;
+  faults.duplicate_prob = 0.02;
+  faults.reorder_prob = 0.02;
+  faults.flaps.push_back(FlapWindow{100_us, 20_us});
+  faults.seed = seed;
+  return faults;
+}
+
+fabric::TestbedConfig imix_both_ways(sfp::ShellKind shell) {
+  fabric::TestbedConfig config;
+  config.module.shell.kind = shell;
+  fabric::TrafficSpec traffic;
+  traffic.rate = DataRate::gbps(9);
+  traffic.sizes = fabric::SizeDistribution::imix;
+  traffic.duration = 300_us;
+  config.edge_traffic = traffic;
+  traffic.seed = 2;
+  config.optical_traffic = traffic;
+  return config;
+}
+
+TEST(ChaosSoak, ModuleRunsCloseTheOneLedger) {
+  for (const sfp::ShellKind shell :
+       {sfp::ShellKind::one_way_filter, sfp::ShellKind::two_way_core}) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+      fabric::TestbedConfig config = imix_both_ways(shell);
+      config.edge_faults = both_ports_faults(seed);
+      config.optical_faults = both_ports_faults(seed + 100);
+      fabric::ModuleTestbed testbed(std::move(config),
+                                    std::make_unique<PassApp>());
+      const auto result = testbed.run();
+      const fabric::FabricLedger& ledger = result.ledger;
+      SCOPED_TRACE(sfp::to_string(shell) + " seed " + std::to_string(seed));
+      ASSERT_GT(ledger.sent, 0u);
+      EXPECT_TRUE(ledger.balanced()) << "injected " << ledger.injected()
+                                     << " accounted " << ledger.accounted();
+      EXPECT_GT(ledger.fault_dropped, 0u);
+      // Both directions into one PPE at 9 Gb/s IMIX each overrun it.
+      if (shell == sfp::ShellKind::two_way_core) {
+        EXPECT_GT(ledger.queue_drops, 0u);
+      }
+    }
+  }
+}
+
+TEST(ChaosSoak, ParallelShardsCloseTheOneLedger) {
+  fabric::ParallelTestbedConfig config;
+  config.shards = 4;
+  config.base_seed = 23;
+  config.prototype = imix_both_ways(sfp::ShellKind::two_way_core);
+  config.prototype.edge_traffic->duration = 100_us;
+  config.prototype.optical_traffic->duration = 100_us;
+  config.prototype.edge_faults = both_ports_faults(0);
+  config.prototype.optical_faults = both_ports_faults(0);
+
+  fabric::ParallelTestbed bed(config, [] {
+    return std::make_unique<PassApp>();
+  });
+  const auto run = bed.run(4);
+  const auto ledger = fabric::FabricLedger::from_snapshot(run.metrics);
+  ASSERT_GT(ledger.sent, 0u);
+  EXPECT_GT(ledger.fault_dropped, 0u);
+  EXPECT_GT(ledger.duplicated, 0u);
+  EXPECT_TRUE(ledger.balanced())
+      << "injected " << ledger.injected() << " accounted "
+      << ledger.accounted();
+  // And shard by shard: the merge adds no term and loses none.
+  for (const auto& shard : run.shards) {
+    EXPECT_TRUE(fabric::FabricLedger::from_snapshot(shard.metrics).balanced())
+        << "shard " << shard.shard;
+  }
 }
 
 TEST(ChaosSoak, ModuleDegradesAndRecoversWithoutBlackHoling) {
@@ -101,9 +184,11 @@ TEST(ChaosSoak, ModuleDegradesAndRecoversWithoutBlackHoling) {
   // The degraded window forwarded as a dumb cable (no PPE, no loss); only
   // the golden reboot's dark window lost packets — and counted every one.
   EXPECT_GT(testbed.module().shell().degraded_forwards(), 0u);
+  const fabric::FabricLedger& ledger = result.ledger;
   EXPECT_EQ(result.edge_to_optical.received_packets,
-            result.edge_to_optical.sent_packets - result.ppe_queue_drops -
-                result.app_drops - testbed.module().packets_lost_while_dark());
+            result.edge_to_optical.sent_packets - ledger.queue_drops -
+                ledger.app_drops - ledger.dark_drops);
+  EXPECT_TRUE(ledger.balanced());
 }
 
 TEST(ChaosSoak, MgmtPlaneSurvivesTargetedLossThroughRetries) {
@@ -158,7 +243,6 @@ TEST(ChaosSoak, MgmtPlaneSurvivesTargetedLossThroughRetries) {
 TEST(ChaosSoak, ParallelShardsStayBitIdenticalWithInjectionEnabled) {
   fabric::ParallelTestbedConfig config;
   config.shards = 4;
-  config.workers = 4;
   config.base_seed = 17;
   fabric::TrafficSpec traffic;
   traffic.rate = DataRate::gbps(4);
@@ -174,8 +258,8 @@ TEST(ChaosSoak, ParallelShardsStayBitIdenticalWithInjectionEnabled) {
   fabric::ParallelTestbed bed(config, [] {
     return std::make_unique<PassApp>();
   });
-  const auto parallel = bed.run();
-  const auto sequential = bed.run_sequential();
+  const auto parallel = bed.run(4);
+  const auto sequential = bed.run(1);
 
   ASSERT_GT(parallel.metrics.sum("gen.emitted.packets"), 0u);
   // The whole registry — fault.* series included — obeys the oracle.
@@ -185,12 +269,9 @@ TEST(ChaosSoak, ParallelShardsStayBitIdenticalWithInjectionEnabled) {
   EXPECT_EQ(parallel.events, sequential.events);
   ASSERT_EQ(parallel.shards.size(), sequential.shards.size());
   for (std::size_t i = 0; i < parallel.shards.size(); ++i) {
-    const auto& p = parallel.shards[i].result.edge_fault_tally;
-    const auto& s = sequential.shards[i].result.edge_fault_tally;
-    EXPECT_EQ(p.delivered, s.delivered) << "shard " << i;
-    EXPECT_EQ(p.dropped, s.dropped) << "shard " << i;
-    EXPECT_EQ(p.corrupted, s.corrupted) << "shard " << i;
-    EXPECT_EQ(p.duplicated, s.duplicated) << "shard " << i;
+    // Each shard's own snapshot, fault.* series included.
+    EXPECT_EQ(parallel.shards[i].metrics, sequential.shards[i].metrics)
+        << "shard " << i;
   }
 
   // Distinct shards run distinct fault streams, and a fault stream never

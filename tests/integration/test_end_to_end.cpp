@@ -81,7 +81,7 @@ TEST(EndToEnd, TelecomEdgeChainEnforcesPolicyPerSubscriber) {
   const auto result = testbed.run();
 
   // The limiter policed the subscriber down to ~100 Mb/s.
-  EXPECT_GT(result.app_drops, 0u);
+  EXPECT_GT(result.ledger.app_drops, 0u);
   EXPECT_LT(result.edge_to_optical.delivered_gbps, 0.2);
   EXPECT_GT(limiter_raw->policed(), 0u);
   // What survived is VLAN-tagged.

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "net/builder.hpp"
 
@@ -60,6 +62,40 @@ TEST(Pcap, EmptyCaptureReadsBack) {
   const auto records = read_pcap(path);
   ASSERT_TRUE(records);
   EXPECT_TRUE(records->empty());
+  std::remove(path.c_str());
+}
+
+// A classic pcap global header (snaplen 65,535, Ethernet) followed by one
+// record header claiming `caplen` bytes and `body` bytes of actual payload.
+void write_one_record(const std::string& path, std::uint32_t caplen,
+                      std::size_t body) {
+  std::ofstream out(path, std::ios::binary);
+  const auto le32 = [&out](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out.put(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  le32(0xa1b2c3d4);
+  le32(0x00040002);  // version 2.4
+  le32(0);           // thiszone
+  le32(0);           // sigfigs
+  le32(65535);       // snaplen
+  le32(1);           // LINKTYPE_ETHERNET
+  le32(1);           // ts_sec
+  le32(0);           // ts_usec
+  le32(caplen);
+  le32(caplen);      // origlen
+  out << std::string(body, '\0');
+}
+
+TEST(Pcap, RejectsRecordLongerThanSnaplen) {
+  const std::string path = temp_path("flexsfp_test_oversize.pcap");
+  // A whole 70,000-byte record under a 65,535-byte snaplen.
+  write_one_record(path, 70'000, 70'000);
+  EXPECT_FALSE(read_pcap(path).has_value());
+  // A header claiming ~4 GiB with no body: rejected before any allocation.
+  write_one_record(path, 0xFFFFFFF0u, 0);
+  EXPECT_FALSE(read_pcap(path).has_value());
   std::remove(path.c_str());
 }
 

@@ -68,7 +68,7 @@ TEST_P(LineRateProperty, LossMatchesCapacityArithmetic) {
   const bool fits = cycles_per_s <= double(dp.clock.hz()) * 1.0001;
 
   if (fits) {
-    EXPECT_EQ(result.ppe_queue_drops, 0u)
+    EXPECT_EQ(result.ledger.queue_drops, 0u)
         << "width " << param.width_bits << " clock " << param.clock_mhz;
     EXPECT_LT(loss, 1e-9);
   } else {

@@ -7,8 +7,8 @@
 //      --fail-on-warning), or an expectation mismatch in
 //      --check-expectations mode
 //   2  usage error / unknown design / unknown device
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -95,13 +95,22 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "flexsfp-lint: --min-frame needs a byte count\n");
         return 2;
       }
-      const long parsed = std::strtol(argv[++i], nullptr, 10);
-      if (parsed <= 0) {
-        std::fprintf(stderr, "flexsfp-lint: --min-frame wants a positive "
-                             "byte count, got '%s'\n", argv[i]);
+      // Parsed in full and bounded by the largest frame the interpreter
+      // models: a suffix or an out-of-range count is a usage error, never
+      // a silently truncated or saturated bound.
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      const std::size_t max_frame =
+          analysis::VerifierOptions{}.bpf_max_frame_bytes;
+      const auto [ptr, ec] = std::from_chars(text, end, min_frame_bytes);
+      if (ec != std::errc{} || ptr != end || min_frame_bytes == 0 ||
+          min_frame_bytes > max_frame) {
+        std::fprintf(stderr,
+                     "flexsfp-lint: --min-frame takes a byte count in [1, "
+                     "%zu] (got '%s')\n",
+                     max_frame, text);
         return 2;
       }
-      min_frame_bytes = static_cast<std::size_t>(parsed);
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--fail-on-warning") {

@@ -544,13 +544,12 @@ int main(int argc, char** argv) {
     // the pool.* series of each shard's snapshot are that shard's pool.
     fabric::ParallelTestbedConfig parallel_config;
     parallel_config.shards = static_cast<std::size_t>(shards);
-    parallel_config.workers = workers;
     parallel_config.base_seed = seed;
     parallel_config.prototype = config;
     fabric::ParallelTestbed bed(parallel_config, [&registry, &app_name] {
       return registry.create(app_name, net::BytesView{});
     });
-    const auto parallel = bed.run();
+    const auto parallel = bed.run(workers);
 
     if (json) {
       std::string doc = "{\"app\":\"" + app_name + "\",\"shards\":[";
@@ -706,9 +705,9 @@ int main(int argc, char** argv) {
     std::printf("\n%-14s %12s %10s %10s %10s %10s %10s %10s\n",
                 "fault ledger", "delivered", "dropped", "targeted", "flapped",
                 "corrupted", "duplicated", "reordered");
-    print_fault_ledger("edge", result.edge_fault_tally);
+    print_fault_ledger("edge", testbed.edge_faults()->tally());
     if (two_way) {
-      print_fault_ledger("optical", result.optical_fault_tally);
+      print_fault_ledger("optical", testbed.optical_faults()->tally());
     }
   }
   std::printf("dark drops=%llu, control punts=%llu, %zu series in snapshot\n",
