@@ -350,6 +350,27 @@ BENCHMARK_CAPTURE(BM_FabricEngine, 2, 2u)
 BENCHMARK_CAPTURE(BM_FabricEngine, 4, 4u)
     ->Iterations(10)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// Host cost of reading a fabric's registry: a default-ring FabricTestbed of
+// `modules` modules, built but not run. One iteration takes the snapshot,
+// then merges a relabeled copy into it — a fold of two snapshots with
+// disjoint keys, as the windowed engine does per world after its last
+// round. The crossbar carries a series pair per (input, output), so the
+// series count (the `series` counter, the merged size) grows with modules².
+void BM_Snapshot(benchmark::State& state) {
+  fabric::Topology topo;
+  topo.modules = static_cast<std::size_t>(state.range(0));
+  fabric::FabricTestbed testbed(topo);
+  std::size_t series = 0;
+  for (auto _ : state) {
+    obs::MetricSnapshot merged = testbed.sim().metrics().snapshot();
+    merged.merge(merged.with_label("shard", "1"));
+    series = merged.size();
+  }
+  state.counters["series"] = static_cast<double>(series);
+}
+BENCHMARK(BM_Snapshot)->Arg(16)->Arg(64)->Arg(128)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -121,6 +121,10 @@ FabricRunResult FabricTestbed::run() {
   sim_.run();
 
   FabricRunResult out;
+  // The same span the windowed engine times: the run, not the collection.
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   out.duration =
       topo_.traffic_prototype.start + topo_.traffic_prototype.duration;
   for (const auto& rig : rigs_) {
@@ -130,9 +134,6 @@ FabricRunResult FabricTestbed::run() {
   out.ledger = FabricLedger::from_snapshot(out.metrics);
   out.events = sim_.executed_events();
   out.workers_used = 1;
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return out;
 }
 

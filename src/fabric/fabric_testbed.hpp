@@ -88,6 +88,8 @@ struct FabricRunResult {
   /// Conservative-sync windows executed (0 for the single-sim engine).
   std::uint64_t rounds = 0;
   unsigned workers_used = 1;
+  /// Host seconds of the simulation itself on either engine (the one
+  /// run() or the lockstep rounds): no world building, results or snapshots.
   double wall_seconds = 0;
 };
 

@@ -9,10 +9,27 @@
 // strings. Snapshots are key-sorted and merge deterministically, so the
 // flow-sharded parallel testbed can fold per-shard registries in shard
 // order and stay bit-identical to the sequential oracle.
+//
+// Cost of each operation, for a registry of n series and snapshots of n
+// and m series. A fabric carries one crosspoint series pair per (input,
+// output), so n grows with modules²; nothing that builds a whole snapshot
+// costs more than O(n log n):
+//   registry add/set/set_max/value(id)   O(1), one array access
+//   registry counter/gauge (intern)      O(log n): keeps the key order
+//   registry value(key)                  O(log n), no string built
+//   registry snapshot()                  O(n) walk of the key order, plus
+//                                        collector output (c samples,
+//                                        O(c²) worst case) and one merge
+//   snapshot add_sample                  O(n): a sorted insert
+//   snapshot contains/value(key)         O(log n)
+//   snapshot merge                       O(n + m), one pass of two runs
+//   snapshot diff                        O(n + m), walks base alongside
+//   snapshot with_label                  O(n log n): relabel, sort once
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -63,7 +80,9 @@ struct MetricSample {
 /// JSON/CSV for machines.
 class MetricSnapshot {
  public:
-  /// Insert or accumulate (counter: add, gauge: max) one sample.
+  /// Insert or accumulate (counter: add, gauge: max) one sample. On a key
+  /// already present the present kind wins. A sorted insert: the way to add
+  /// a few series, not to build a large snapshot.
   void add_sample(MetricSample sample);
 
   [[nodiscard]] const std::vector<MetricSample>& samples() const {
@@ -77,15 +96,18 @@ class MetricSnapshot {
   /// Sum of every series whose name matches exactly (any labels).
   [[nodiscard]] std::uint64_t sum(std::string_view name) const;
 
-  /// Fold `other` in: counters add, gauges take the max, new keys insert.
-  /// Deterministic for a fixed merge order — the shard-merge primitive.
-  void merge(const MetricSnapshot& other);
+  /// Fold `other` in: counters add, gauges take the max, new keys insert;
+  /// on a key in both, this snapshot's kind wins. Deterministic for a fixed
+  /// merge order — the shard-merge primitive. Taken by value: a temporary
+  /// (a relabeled shard snapshot) moves its series in instead of copying.
+  void merge(MetricSnapshot other);
   /// Change since `base`: counters subtract (saturating at 0), gauges keep
   /// this snapshot's value, series absent from `base` pass through.
   [[nodiscard]] MetricSnapshot diff(const MetricSnapshot& base) const;
   /// Copy with `key=value` added to every series' labels (replacing any
   /// existing value) — how per-shard snapshots get their port identity
-  /// before merging.
+  /// before merging. Series whose keys become equal fold as in add_sample,
+  /// in this snapshot's order.
   [[nodiscard]] MetricSnapshot with_label(const std::string& key,
                                           const std::string& value) const;
 
@@ -99,10 +121,23 @@ class MetricSnapshot {
                          const MetricSnapshot&) = default;
 
  private:
-  [[nodiscard]] std::size_t lower_bound_key(std::string_view key) const;
+  friend class MetricRegistry;  // fills a snapshot in key order directly
 
-  std::vector<MetricSample> samples_;  // sorted by key()
-  std::vector<std::string> keys_;      // parallel cache of sample keys
+  [[nodiscard]] std::string_view key_at(std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : key_ends_[i - 1];
+    return {keys_.data() + begin, key_ends_[i] - begin};
+  }
+  [[nodiscard]] std::size_t lower_bound_key(std::string_view key) const;
+  /// Append a series whose key sorts after every present key.
+  void append(MetricSample sample, std::string_view key);
+  void reserve(std::size_t samples, std::size_t key_bytes);
+
+  std::vector<MetricSample> samples_;    // sorted by key()
+  // Every sample's key, in order. A vector, not a std::string: assigning
+  // an empty snapshot must free it, and a string keeps its buffer when
+  // assigned a short (inline) one.
+  std::vector<char> keys_;
+  std::vector<std::uint32_t> key_ends_;  // offset in keys_ just past key i
 };
 
 /// The per-simulation registry. Not thread-safe by design: one registry per
@@ -151,24 +186,30 @@ class MetricRegistry {
   CollectorToken register_collector(Collector collector);
   void unregister_collector(CollectorToken token);
 
-  /// All registered series plus collector output, key-sorted.
+  /// All registered series plus collector output, key-sorted. Collectors
+  /// fill a side snapshot of their own (their samples fold there as in
+  /// add_sample), which then folds into the registered series with one
+  /// merge: a registered series keeps its kind.
   [[nodiscard]] MetricSnapshot snapshot() const;
 
   /// Zero every registered value (registrations and collectors persist).
   void reset_values();
 
  private:
-  struct Meta {
+  struct Series {
     std::string name;
     Labels labels;
     MetricKind kind = MetricKind::counter;
+    std::uint32_t index = 0;  // into values_
   };
 
   MetricId intern(std::string name, Labels labels, MetricKind kind);
 
-  std::vector<Meta> meta_;
   std::vector<std::uint64_t> values_;
-  std::unordered_map<std::string, std::uint32_t> by_key_;
+  // Rendered key -> series, in key order: snapshot() walks it, value(key)
+  // and intern look up in it. The one place a registered key is stored.
+  std::map<std::string, Series, std::less<>> index_;
+  std::size_t key_bytes_ = 0;  // total length of the keys in index_
   std::unordered_map<std::string, std::uint32_t> name_uses_;
   std::vector<std::pair<CollectorToken, Collector>> collectors_;
   CollectorToken next_collector_token_ = 1;

@@ -10,6 +10,7 @@
 #include "fabric/orchestrator.hpp"
 #include "fabric/parallel_testbed.hpp"
 #include "fabric/testbed.hpp"
+#include "hw/spi_flash.hpp"
 #include "sim/fault_injector.hpp"
 
 namespace flexsfp {
@@ -181,14 +182,51 @@ TEST(ChaosSoak, ModuleDegradesAndRecoversWithoutBlackHoling) {
   EXPECT_EQ(testbed.module().degradations(), 1u);
   EXPECT_EQ(testbed.module().state(), sfp::ModuleState::running);
   EXPECT_FALSE(testbed.module().shell().degraded());
-  // The degraded window forwarded as a dumb cable (no PPE, no loss); only
-  // the golden reboot's dark window lost packets — and counted every one.
+  // The degraded window forwarded as a dumb cable (no PPE, no loss). The
+  // golden reboot's flash write outlasts the traffic, so its dark reload
+  // window opens after the last packet; the next test sends into it.
   EXPECT_GT(testbed.module().shell().degraded_forwards(), 0u);
   const fabric::FabricLedger& ledger = result.ledger;
   EXPECT_EQ(result.edge_to_optical.received_packets,
             result.edge_to_optical.sent_packets - ledger.queue_drops -
                 ledger.app_drops - ledger.dark_drops);
   EXPECT_TRUE(ledger.balanced());
+}
+
+TEST(ChaosSoak, TrafficInTheReloadWindowIsCountedDark) {
+  // Flash programming keeps the old design forwarding; only the FPGA
+  // reload after it darkens the module. Time the golden reboot so that
+  // low-rate edge traffic starts mid-reload: every frame meets a dark
+  // module, and the ledger still closes through its dark_drops term.
+  constexpr TimePs kTrafficStart = 60_s;  // past the ~28 s flash write
+  fabric::TestbedConfig config;
+  fabric::TrafficSpec traffic;
+  traffic.rate = DataRate::gbps(1);
+  traffic.start = kTrafficStart;
+  traffic.duration = 100_us;
+  config.edge_traffic = traffic;
+  const TimePs reload = config.module.fpga_reload_ps;
+
+  apps::register_builtin_apps();
+  fabric::ModuleTestbed testbed(std::move(config),
+                                std::make_unique<apps::RateLimiter>());
+  const auto golden = testbed.module().flash().read(0);
+  ASSERT_TRUE(golden.has_value());
+  const TimePs flash = hw::SpiFlash::program_time(golden->flash_size_bytes());
+  ASSERT_GT(kTrafficStart, flash + reload / 2);
+  testbed.sim().schedule_at(kTrafficStart - flash - reload / 2, [&testbed]() {
+    ASSERT_TRUE(testbed.module().reboot_from_golden());
+  });
+
+  const auto result = testbed.run();
+  const fabric::FabricLedger& ledger = result.ledger;
+  EXPECT_EQ(testbed.module().state(), sfp::ModuleState::running);
+  ASSERT_GT(ledger.sent, 0u);
+  EXPECT_GT(ledger.dark_drops, 0u);
+  EXPECT_EQ(ledger.dark_drops, ledger.sent);  // the window outlasts it all
+  EXPECT_EQ(result.edge_to_optical.received_packets, 0u);
+  EXPECT_TRUE(ledger.balanced()) << "injected " << ledger.injected()
+                                 << " accounted " << ledger.accounted();
 }
 
 TEST(ChaosSoak, MgmtPlaneSurvivesTargetedLossThroughRetries) {
