@@ -261,13 +261,22 @@ void BM_EventQueueHold(benchmark::State& state) {
 BENCHMARK(BM_EventQueueHold)->Arg(8)->Arg(128)->Arg(1024)->Arg(8192);
 
 // Synchronization cost of one lockstep round: 5 jobs whose advance bodies
-// do nothing, so the time per iteration is the barrier's round trip (publish
-// a generation, every thread runs its slice, the caller collects them).
-// Thread start-up and the first round fall outside the timed region.
+// do nothing, so the time per iteration is the round's synchronization
+// (every thread publishes its slot and waits for the others'). Job 0, on the
+// caller thread, keeps the rounds coming while the benchmark runs; thread
+// start-up and the first round fall outside the timed region.
 void BM_LockstepRound(benchmark::State& state) {
-  sim::run_lockstep_rounds(
-      5, static_cast<unsigned>(state.range(0)), [](std::size_t) {},
-      [&state] { return state.KeepRunning(); });
+  bool started = false;
+  (void)sim::run_lockstep_rounds(
+      5, static_cast<unsigned>(state.range(0)), /*lookahead=*/1,
+      /*first_horizon=*/0, [&](std::size_t i, sim::TimePs) {
+        if (i != 0) return sim::time_horizon;
+        if (!started) {
+          started = true;
+          return sim::TimePs{0};
+        }
+        return state.KeepRunning() ? sim::TimePs{0} : sim::time_horizon;
+      });
 }
 BENCHMARK(BM_LockstepRound)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
@@ -296,20 +305,23 @@ void BM_FabricHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricHandoff)->Arg(64)->Arg(1518);
 
-// One whole fabric run per iteration on the perfbench-shaped incast: 4
-// modules send to module 0 through the crossbar (Poisson, uniform 64–1518 B
-// frames at 4 Gb/s, 2% drop and 1% duplicate on every link, crosspoint
-// capacity 16, 2 ms). `single` builds and runs a FabricTestbed; 1, 2 and 4
-// run the windowed engine at that many workers (its run() builds the worlds
-// itself). The fixed iteration count keeps a CI smoke short without a
-// --benchmark_min_time argument.
-constexpr unsigned kSingleSimulation = 0;
+// One whole fabric run per iteration. Every module sends Poisson traffic of
+// uniform 64–1518 B frames at 4 Gb/s for 2 ms through the crossbar
+// (crosspoint capacity 16), and every link drops 2% and duplicates 1%:
+// `incast` aims every module at module 0 (at 4 modules, perfbench's
+// fabric_incast), `ring` aims module i at module i + 1. The arguments are
+// the module count and the worker count, where workers 0 builds and runs a
+// single-simulation FabricTestbed and 1, 2 and 4 run the windowed engine at
+// that many workers (its run() builds the worlds itself). The fixed
+// iteration count keeps a CI smoke short without a --benchmark_min_time
+// argument.
+enum class FabricShape { incast, ring };
 
-fabric::Topology fabric_incast() {
+fabric::Topology fabric_topology(FabricShape shape, std::size_t modules) {
   using sim::operator""_ms;
   fabric::Topology topo;
-  topo.modules = 4;
-  topo.targets = {0, 0, 0, 0};
+  topo.modules = modules;
+  if (shape == FabricShape::incast) topo.targets.assign(modules, 0);
   topo.crosspoint_capacity = 16;
   topo.base_seed = 1;
   fabric::TrafficSpec& spec = topo.traffic_prototype;
@@ -327,12 +339,14 @@ fabric::Topology fabric_incast() {
   return topo;
 }
 
-void BM_FabricEngine(benchmark::State& state, unsigned workers) {
-  const fabric::Topology topo = fabric_incast();
+void BM_FabricEngine(benchmark::State& state, FabricShape shape) {
+  const fabric::Topology topo = fabric_topology(
+      shape, static_cast<std::size_t>(state.range(0)));
+  const auto workers = static_cast<unsigned>(state.range(1));
   fabric::FabricParallelTestbed windowed(topo);
   std::uint64_t delivered = 0;
   for (auto _ : state) {
-    if (workers == kSingleSimulation) {
+    if (workers == 0) {
       fabric::FabricTestbed single(topo);
       delivered += single.run().ledger.delivered;
     } else {
@@ -341,13 +355,13 @@ void BM_FabricEngine(benchmark::State& state, unsigned workers) {
   }
   benchmark::DoNotOptimize(delivered);
 }
-BENCHMARK_CAPTURE(BM_FabricEngine, single, kSingleSimulation)
+BENCHMARK_CAPTURE(BM_FabricEngine, incast, FabricShape::incast)
+    ->ArgNames({"modules", "workers"})
+    ->ArgsProduct({{4, 16}, {0, 1, 2, 4}})
     ->Iterations(10)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(BM_FabricEngine, 1, 1u)
-    ->Iterations(10)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(BM_FabricEngine, 2, 2u)
-    ->Iterations(10)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(BM_FabricEngine, 4, 4u)
+BENCHMARK_CAPTURE(BM_FabricEngine, ring, FabricShape::ring)
+    ->ArgNames({"modules", "workers"})
+    ->ArgsProduct({{4, 16}, {0, 1, 2, 4}})
     ->Iterations(10)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Host cost of reading a fabric's registry: a default-ring FabricTestbed of

@@ -299,10 +299,12 @@ TrialResult run_shard(const TrialSpec& spec, std::size_t shard) {
 
 TrialResult run_trial(const TrialSpec& spec) {
   std::vector<TrialResult> shards(kShards);
-  sim::run_lockstep_rounds(
-      kShards, spec.workers,
-      [&](std::size_t shard) { shards[shard] = run_shard(spec, shard); },
-      [] { return false; });
+  (void)sim::run_lockstep_rounds(
+      kShards, spec.workers, /*lookahead=*/0, sim::time_horizon,
+      [&](std::size_t shard, sim::TimePs) {
+        shards[shard] = run_shard(spec, shard);
+        return sim::time_horizon;
+      });
   TrialResult result;
   for (const TrialResult& shard : shards) result.merge(shard);  // fixed order
   return result;

@@ -153,38 +153,61 @@ struct Boundary {
   net::PacketPtr packet;
 };
 
+/// The worlds of one thread that wrote to one destination in one round, in
+/// world order (a thread advances its worlds in index order). Only that
+/// thread writes it, at capture; the destination reads it the next round.
+/// `round` says which round the list belongs to, so nobody clears it: the
+/// first capture of a round restarts it. Each list has its own cache line,
+/// because its destination reads the other parity's list while the sender
+/// writes this one.
+struct alignas(64) SenderList {
+  std::uint64_t round = 0;
+  std::vector<std::size_t> worlds;
+};
+
 /// One world and its side of the boundary. Only this world's thread writes
 /// any of it; the outbox filled last round is read, never written, by its
 /// destinations during the current round.
 struct World {
-  /// Round `parity` starts: release the buffer this round refills. Its
+  /// The next round starts: release the buffer it refills. Its
   /// destinations cloned those packets last round, so they go back to this
   /// world's own pool, on this world's thread.
-  void begin_round(unsigned parity) {
-    fill = parity;
-    outbox[fill].clear();
-    dests.clear();
+  void begin_round() {
+    ++round;
+    outbox[round & 1].clear();
   }
 
-  /// A packet leaves this world for `dest` at now() + `delay`.
+  /// A packet leaves this world for `dest` at now() + `delay`; `dest` will
+  /// find this world in its sender list for the round.
   void capture(std::size_t dest, int port, net::PacketPtr packet,
                sim::TimePs delay) {
+    const unsigned fill = round & 1;
     outbox[fill].push_back(Boundary{sim::saturating_add(sim.now(), delay),
                                     dest, port, std::move(packet)});
-    if (dests.empty() || dests.back() != dest) dests.push_back(dest);
+    SenderList& list = mail[dest * stride][fill];
+    if (list.round != round) {
+      list.round = round;
+      list.worlds.clear();
+    }
+    if (list.worlds.empty() || list.worlds.back() != self) {
+      list.worlds.push_back(self);
+    }
   }
 
   sim::Simulation sim;
+  std::size_t self = 0;    // this world's index
+  std::uint64_t round = 0;  // rounds begun; round r fills outbox[r & 1]
   /// Round r appends to outbox[r & 1]; its destinations read it in round
   /// r + 1, and this world releases it at the start of round r + 2.
   std::array<std::vector<Boundary>, 2> outbox;
-  unsigned fill = 0;  // parity of the current round
-  /// The dest_worlds of outbox[fill] in capture order, runs collapsed.
-  std::vector<std::size_t> dests;
-  std::vector<const Boundary*> inbound;     // this round's pulled batch
-  sim::TimePs pending = sim::time_horizon;  // earliest event or arrival
-  std::unique_ptr<detail::ModuleRig> rig;   // module worlds
-  std::unique_ptr<Crossbar> xbar;           // the crossbar world
+  /// This world's thread's sender lists: destination d's pair (one list
+  /// per round parity) is at mail[d * stride].
+  std::array<SenderList, 2>* mail = nullptr;
+  std::size_t stride = 1;                // threads in the run
+  std::vector<std::size_t> senders;      // this round's, merged
+  std::vector<const Boundary*> inbound;  // this round's pulled batch
+  std::unique_ptr<detail::ModuleRig> rig;  // module worlds
+  std::unique_ptr<Crossbar> xbar;          // the crossbar world
 };
 
 }  // namespace
@@ -236,31 +259,43 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
 
   for (std::size_t i = 0; i < modules; ++i) worlds[i]->rig->gen->start();
 
-  // The conservative window bound: every world may run strictly past the
-  // globally earliest pending event or boundary arrival plus the link
-  // lookahead, because no packet captured before the bound can arrive
-  // anywhere earlier than it.
-  const auto horizon_after_pending = [&worlds, delay]() -> sim::TimePs {
-    sim::TimePs earliest = sim::time_horizon;
-    for (const auto& world : worlds) {
-      earliest = std::min(earliest, world->pending);
-    }
-    if (earliest == sim::time_horizon) return sim::time_horizon;
-    return sim::saturating_add(earliest, delay);
-  };
+  // World i runs on thread i % pool (the engine's fixed placement), so the
+  // sender lists are kept per (destination, thread) and each is written by
+  // one thread only.
+  const unsigned pool = sim::resolve_threads(worlds.size(), workers);
+  std::vector<std::array<SenderList, 2>> mail(worlds.size() * pool);
+  for (std::size_t i = 0; i < worlds.size(); ++i) {
+    worlds[i]->self = i;
+    worlds[i]->mail = mail.data() + i % pool;
+    worlds[i]->stride = pool;
+  }
 
   // Pull the batch addressed to world `self` out of the outboxes its
   // senders filled last round, and schedule it in (arrival, source world,
-  // capture order): senders are listed in world order and outboxes in
+  // capture order): senders are taken in world order and outboxes in
   // capture order, so a stable sort on arrival realizes exactly that key —
-  // the tie-break that keeps every worker count bit-identical. The source
-  // packets are only read; each is cloned into this world's pool.
-  const auto pull = [&worlds](std::size_t self,
-                              const std::vector<std::size_t>& senders,
-                              unsigned filled) {
+  // the tie-break that keeps every worker count bit-identical. Finding the
+  // senders reads one list per thread, so an idle destination scans
+  // nothing. The source packets are only read; each is cloned into this
+  // world's pool.
+  const auto pull = [&worlds, &mail, pool](std::size_t self) {
     World& world = *worlds[self];
+    const std::uint64_t last = world.round - 1;
+    const unsigned filled = last & 1;
+    world.senders.clear();
+    for (unsigned t = 0; t < pool; ++t) {
+      const SenderList& list = mail[self * pool + t][filled];
+      if (list.round == last) {
+        world.senders.insert(world.senders.end(), list.worlds.begin(),
+                             list.worlds.end());
+      }
+    }
+    // Each thread's list is in world order; merge them.
+    if (!std::is_sorted(world.senders.begin(), world.senders.end())) {
+      std::sort(world.senders.begin(), world.senders.end());
+    }
     world.inbound.clear();
-    for (const std::size_t src : senders) {
+    for (const std::size_t src : world.senders) {
       for (const Boundary& boundary : worlds[src]->outbox[filled]) {
         if (boundary.dest_world == self) world.inbound.push_back(&boundary);
       }
@@ -299,43 +334,31 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
     }
   };
 
+  // The conservative window bound: every world may run strictly past the
+  // globally earliest pending event or boundary arrival plus the link
+  // lookahead, because no packet captured before the bound can arrive
+  // anywhere earlier than it. The engine takes that minimum over what each
+  // round's advance returns; the first bound comes from the queues alone.
   const auto start = std::chrono::steady_clock::now();
+  sim::TimePs earliest = sim::time_horizon;
+  for (const auto& world : worlds) {
+    earliest = std::min(earliest, world->sim.next_event_time());
+  }
   std::uint64_t rounds = 0;
-  unsigned parity = 0;  // round r fills outbox[r & 1]
-  // senders[d]: the worlds, in world order, whose last outbox holds mail
-  // for world d. Built by the caller at the barrier from each world's
-  // `dests`, so an idle destination scans nothing.
-  std::vector<std::vector<std::size_t>> senders(worlds.size());
-  for (auto& world : worlds) world->pending = world->sim.next_event_time();
-  sim::TimePs horizon = horizon_after_pending();
-  if (horizon != sim::time_horizon) {
-    sim::run_lockstep_rounds(
-        worlds.size(), workers,
-        [&](std::size_t self) {
+  if (earliest != sim::time_horizon) {
+    rounds = sim::run_lockstep_rounds(
+        worlds.size(), workers, delay, sim::saturating_add(earliest, delay),
+        [&](std::size_t self, sim::TimePs horizon) {
           World& world = *worlds[self];
-          world.begin_round(parity);
-          pull(self, senders[self], parity ^ 1);
+          world.begin_round();
+          pull(self);
           (void)world.sim.run_before(horizon);
           // Captures happen at a non-decreasing now(), so the first one
           // arrives first.
-          const auto& filled = world.outbox[parity];
-          world.pending =
-              std::min(world.sim.next_event_time(),
-                       filled.empty() ? sim::time_horizon
-                                      : filled.front().arrival);
-        },
-        [&]() -> bool {
-          ++rounds;
-          for (auto& list : senders) list.clear();
-          for (std::size_t src = 0; src < worlds.size(); ++src) {
-            for (const std::size_t dest : worlds[src]->dests) {
-              auto& list = senders[dest];
-              if (list.empty() || list.back() != src) list.push_back(src);
-            }
-          }
-          parity ^= 1;
-          horizon = horizon_after_pending();
-          return horizon != sim::time_horizon;
+          const auto& filled = world.outbox[world.round & 1];
+          return std::min(world.sim.next_event_time(),
+                          filled.empty() ? sim::time_horizon
+                                         : filled.front().arrival);
         });
   }
   // The last round's destinations have cloned everything; release both
@@ -366,7 +389,7 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
       worlds[xbar_world]->sim.metrics().snapshot().with_label("shard", "xbar"));
   out.ledger = FabricLedger::from_snapshot(out.metrics);
   out.rounds = rounds;
-  out.workers_used = sim::resolve_threads(worlds.size(), workers);
+  out.workers_used = pool;
   out.wall_seconds = wall_seconds;
   return out;
 }

@@ -99,16 +99,16 @@ ParallelRunResult ParallelTestbed::run(unsigned workers) {
     apps.push_back(app_factory_());
   }
 
-  // Isolated shards are the degenerate lockstep case: one unbounded window,
-  // nothing to exchange. Riding the same engine as the fabric testbeds keeps
-  // one worker-pool discipline for both execution shapes.
+  // Isolated shards are the degenerate lockstep case: one unbounded window
+  // after which nothing is pending. Riding the same engine as the fabric
+  // testbeds keeps one worker-pool discipline for both execution shapes.
   const auto start = std::chrono::steady_clock::now();
-  sim::run_lockstep_rounds(
-      config_.shards, workers,
-      [&](std::size_t shard) {
+  (void)sim::run_lockstep_rounds(
+      config_.shards, workers, /*lookahead=*/0, sim::time_horizon,
+      [&](std::size_t shard, sim::TimePs) {
         out.shards[shard] = run_shard(shard, std::move(apps[shard]));
-      },
-      [] { return false; });
+        return sim::time_horizon;
+      });
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -189,8 +189,8 @@ class PacketPtr {
 /// bytes + simulation metadata, no intrusive bookkeeping) that may outlive
 /// the packet's pool and thread. Its one remaining user is perfbench's frame
 /// sampler, which keeps delivered frames past the run. Cross-world handoff
-/// in the fabric engine does not detach: it clones straight into the
-/// destination pool at the barrier (PacketPool::clone).
+/// in the fabric engine does not detach: the destination clones straight
+/// into its own pool during its own round (PacketPool::clone).
 [[nodiscard]] inline Packet detach_frame(const Packet& packet) {
   return packet;
 }

@@ -1,12 +1,13 @@
 #include "sim/parallel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -14,10 +15,10 @@ namespace flexsfp::sim {
 
 namespace {
 
-/// How long a waiter polls its atomic before parking on the condition
-/// variable. A lockstep round that carries a packet or two finishes in a few
-/// µs, so the next generation almost always lands inside the spin; an idle
-/// or oversubscribed pool still parks instead of burning a core.
+/// How long a waiter polls before parking on the condition variable. A
+/// lockstep round that carries a packet or two finishes in a few µs, so the
+/// other threads almost always publish inside the spin; an idle or
+/// oversubscribed pool still parks instead of burning a core.
 constexpr auto kSpinBound = std::chrono::microseconds(50);
 /// Past this much of the spin, each poll yields the CPU instead of pausing.
 /// Without it, two threads the scheduler placed on one core settle into a
@@ -36,35 +37,29 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Wait until `ready()` holds: poll it for kSpinBound, then park on `cv`.
-/// `ready` reads only atomics; notifiers store them before a lock/unlock of
-/// `mutex` and the notify (see notify_waiters), so re-checking under the
-/// mutex cannot miss a wake-up.
-template <typename Ready>
-void spin_then_park(std::mutex& mutex, std::condition_variable& cv,
-                    const Ready& ready) {
-  const auto start = std::chrono::steady_clock::now();
-  while (!ready()) {
-    const auto waited = std::chrono::steady_clock::now() - start;
-    if (waited < kPauseBound) {
-      cpu_relax();
-    } else if (waited < kSpinBound) {
-      std::this_thread::yield();
-    } else {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, ready);
-      return;
-    }
-  }
+[[nodiscard]] TimePs horizon_after(TimePs earliest, TimePs lookahead) {
+  return earliest == time_horizon ? time_horizon
+                                  : saturating_add(earliest, lookahead);
 }
 
-/// Wake everyone parked on `cv` after the caller stored the atomic their
-/// predicate reads. The empty critical section orders the store against a
-/// waiter that is between its predicate check and its sleep.
-void notify_waiters(std::mutex& mutex, std::condition_variable& cv) {
-  { const std::lock_guard<std::mutex> lock(mutex); }
-  cv.notify_all();
-}
+/// What one thread tells the others at the end of each round. Only its
+/// owner writes it. `earliest` and `failed` are indexed by round parity:
+/// a thread may finish round r + 1 and write its values while a slower
+/// thread still reads round r's, but it cannot reach round r + 2 before
+/// every thread has published r + 1, i.e. finished reading round r.
+struct alignas(kCacheLine) Slot {
+  /// The last round this thread finished. Its store publishes `earliest`,
+  /// `failed` and everything the thread's advance bodies wrote.
+  std::atomic<std::uint64_t> round{0};
+  std::array<TimePs, 2> earliest{};
+  std::array<bool, 2> failed{};
+};
+
+/// The lowest-indexed job that threw on one thread, and its exception.
+struct Failure {
+  std::size_t index = 0;
+  std::exception_ptr error;
+};
 
 }  // namespace
 
@@ -75,106 +70,128 @@ unsigned resolve_threads(std::size_t jobs, unsigned requested) {
       std::min<std::size_t>({jobs == 0 ? 1 : jobs, want, hardware}));
 }
 
-void run_lockstep_rounds(std::size_t jobs, unsigned workers,
-                         const std::function<void(std::size_t)>& advance,
-                         const std::function<bool()>& exchange) {
-  if (jobs == 0) return;
+std::uint64_t run_lockstep_rounds(std::size_t jobs, unsigned workers,
+                                  TimePs lookahead, TimePs first_horizon,
+                                  const LockstepAdvance& advance) {
+  if (jobs == 0) return 0;
   const unsigned pool = resolve_threads(jobs, workers);
 
   if (pool <= 1) {
+    std::uint64_t rounds = 0;
+    TimePs horizon = first_horizon;
     do {
-      for (std::size_t i = 0; i < jobs; ++i) advance(i);
-    } while (exchange());
-    return;
+      ++rounds;
+      TimePs earliest = time_horizon;
+      for (std::size_t i = 0; i < jobs; ++i) {
+        earliest = std::min(earliest, advance(i, horizon));
+      }
+      horizon = horizon_after(earliest, lookahead);
+    } while (horizon != time_horizon);
+    return rounds;
   }
 
-  // Generation barrier shared by the pool. The round counter is the
-  // generation: the caller publishes a round with a release increment,
-  // workers acquire it, advance their fixed slice of jobs and count down
-  // `busy`; the last one out releases the caller, which acquires busy == 0
-  // and runs the exchange while every worker waits for the next generation.
-  // Those two release/acquire edges are what publish the exchange-phase
-  // writes (scheduled boundary events) to the workers and the advance-phase
-  // writes back to the caller. The mutex only backs the parked slow path
-  // and the rare error record.
-  //
-  // The polled atomics sit on their own cache lines, away from each other
-  // and from the mutex, so a worker counting down `busy` or a notifier
-  // taking the mutex does not evict the line the others are polling.
-  struct Barrier {
+  std::vector<Slot> slots(pool);
+  std::vector<Failure> failures(pool);
+  // The parked path. A waiter counts itself in `parked` before it checks
+  // its slot under the mutex; a publisher stores its round before it reads
+  // `parked`. Both sides are sequentially consistent, so either the waiter
+  // sees the round or the publisher sees the waiter and notifies under the
+  // mutex: no wake-up is lost, and no publisher touches the mutex while
+  // nobody sleeps.
+  struct alignas(kCacheLine) Parking {
+    std::atomic<unsigned> parked{0};
     std::mutex mutex;
-    std::condition_variable start;
-    std::condition_variable done;
-    alignas(kCacheLine) std::atomic<std::uint64_t> round{0};
-    std::atomic<bool> stop{false};
-    alignas(kCacheLine) std::atomic<unsigned> busy{0};
-    alignas(kCacheLine) std::size_t first_error_index = 0;
-    std::exception_ptr first_error;
-  } barrier;
-  barrier.first_error_index = jobs;
+    std::condition_variable wake;
+  } parking;
 
-  // Thread `t` (the caller is thread 0) owns jobs t, t + pool, ... for the
-  // whole run, so a shard's queue, pool and registry stay in one core's
-  // cache.
-  auto advance_slice = [&](unsigned t) {
-    for (std::size_t i = t; i < jobs; i += pool) {
-      try {
-        advance(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(barrier.mutex);
-        if (i < barrier.first_error_index) {
-          barrier.first_error_index = i;
-          barrier.first_error = std::current_exception();
+  // Wait until `slot` shows `round`: poll with the CPU hint, then yield,
+  // then park. `waiting_since` is when this thread began waiting in this
+  // round (unset until it first has to), so the bounds cover the whole
+  // wait, not each slot's share of it.
+  using Clock = std::chrono::steady_clock;
+  const auto wait_for = [&parking](const Slot& slot, std::uint64_t round,
+                                   std::optional<Clock::time_point>&
+                                       waiting_since) {
+    const auto arrived = [&] {
+      return slot.round.load(std::memory_order_acquire) >= round;
+    };
+    if (arrived()) return;
+    if (!waiting_since) waiting_since = Clock::now();
+    while (!arrived()) {
+      const auto waited = Clock::now() - *waiting_since;
+      if (waited < kPauseBound) {
+        cpu_relax();
+      } else if (waited < kSpinBound) {
+        std::this_thread::yield();
+      } else {
+        parking.parked.fetch_add(1, std::memory_order_seq_cst);
+        {
+          std::unique_lock<std::mutex> lock(parking.mutex);
+          parking.wake.wait(lock, [&] {
+            return slot.round.load(std::memory_order_seq_cst) >= round;
+          });
         }
+        parking.parked.fetch_sub(1, std::memory_order_relaxed);
+        return;
       }
     }
   };
 
-  auto worker = [&](unsigned t) {
-    std::uint64_t seen = 0;
-    while (true) {
-      spin_then_park(barrier.mutex, barrier.start, [&] {
-        return barrier.stop.load(std::memory_order_acquire) ||
-               barrier.round.load(std::memory_order_acquire) != seen;
-      });
-      if (barrier.stop.load(std::memory_order_acquire)) return;
-      ++seen;  // the caller waits for busy == 0 before the next generation
-      advance_slice(t);
-      if (barrier.busy.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        notify_waiters(barrier.mutex, barrier.done);
+  // Thread `t` (the caller is thread 0) owns jobs t, t + pool, ... for the
+  // whole run. Every thread leaves after the same round: the stop decision
+  // is a function of the published slots alone.
+  const auto run_thread = [&](unsigned t) -> std::uint64_t {
+    Slot& mine = slots[t];
+    TimePs horizon = first_horizon;
+    for (std::uint64_t round = 1;; ++round) {
+      const unsigned parity = round & 1;
+      TimePs earliest = time_horizon;
+      bool failed = false;
+      for (std::size_t i = t; i < jobs; i += pool) {
+        try {
+          earliest = std::min(earliest, advance(i, horizon));
+        } catch (...) {
+          if (!failed) failures[t] = Failure{i, std::current_exception()};
+          failed = true;
+        }
       }
+      mine.earliest[parity] = earliest;
+      mine.failed[parity] = failed;
+      mine.round.store(round, std::memory_order_seq_cst);
+      if (parking.parked.load(std::memory_order_seq_cst) != 0) {
+        { const std::lock_guard<std::mutex> lock(parking.mutex); }
+        parking.wake.notify_all();
+      }
+
+      std::optional<Clock::time_point> waiting_since;
+      for (unsigned u = 0; u < pool; ++u) {
+        if (u == t) continue;
+        const Slot& other = slots[u];
+        wait_for(other, round, waiting_since);
+        earliest = std::min(earliest, other.earliest[parity]);
+        failed = failed || other.failed[parity];
+      }
+      horizon = horizon_after(earliest, lookahead);
+      if (failed || horizon == time_horizon) return round;
     }
   };
 
   std::vector<std::thread> threads;
   threads.reserve(pool - 1);
-  for (unsigned t = 1; t < pool; ++t) threads.emplace_back(worker, t);
-
-  const auto shut_down = [&] {
-    barrier.stop.store(true, std::memory_order_release);
-    notify_waiters(barrier.mutex, barrier.start);
-    for (auto& thread : threads) thread.join();
-  };
-
-  try {
-    bool more = true;
-    while (more) {
-      barrier.busy.store(pool - 1, std::memory_order_relaxed);
-      barrier.round.fetch_add(1, std::memory_order_release);
-      notify_waiters(barrier.mutex, barrier.start);
-      advance_slice(0);  // the caller thread advances its slice too
-      spin_then_park(barrier.mutex, barrier.done, [&] {
-        return barrier.busy.load(std::memory_order_acquire) == 0;
-      });
-      if (barrier.first_error) break;
-      more = exchange();  // workers are waiting: cross-shard state is safe
-    }
-  } catch (...) {
-    shut_down();
-    throw;
+  for (unsigned t = 1; t < pool; ++t) {
+    threads.emplace_back([&run_thread, t] { (void)run_thread(t); });
   }
-  shut_down();
-  if (barrier.first_error) std::rethrow_exception(barrier.first_error);
+  const std::uint64_t rounds = run_thread(0);
+  for (auto& thread : threads) thread.join();
+
+  const Failure* first = nullptr;
+  for (const Failure& failure : failures) {
+    if (failure.error && (first == nullptr || failure.index < first->index)) {
+      first = &failure;
+    }
+  }
+  if (first != nullptr) std::rethrow_exception(first->error);
+  return rounds;
 }
 
 }  // namespace flexsfp::sim

@@ -3,43 +3,59 @@
 // run_lockstep_rounds is the one worker-pool engine. Shards that exchange
 // timestamped packets through a fabric advance in bounded time windows
 // (conservative synchronization, the link propagation delay is the
-// lookahead) and meet at a barrier after every window, where the caller's
-// exchange step moves the boundary batches. Shards that share no state at
-// all (one FlexSFP module per shard, one Simulation each) are the
-// degenerate case: one round whose exchange returns false. Worker count
-// never affects results: all cross-shard mutation happens in the
-// single-threaded exchange step, and callers merge by shard index.
+// lookahead). A round has no serial step: every thread advances its own
+// shards, publishes the earliest pending time among them in one cache line,
+// waits until every other thread has published the same round, and then
+// computes the next window bound itself — the same bound every other thread
+// computes from the same published values. Cross-shard data moves inside
+// the advance bodies, which read what other shards wrote in earlier rounds
+// (the round edge orders those reads after the writes). Shards that share
+// no state at all (one FlexSFP module per shard, one Simulation each) are
+// the degenerate case: one round whose bodies report nothing pending.
+// Worker count never affects results: the window bounds depend only on
+// what the shards report, and callers merge by shard index.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+
+#include "sim/time.hpp"
 
 namespace flexsfp::sim {
 
-/// Lockstep round engine for conservatively synchronized shards. Rounds
-/// alternate two phases until `exchange` says stop:
+/// Runs job `i`'s window strictly before `horizon` and returns the earliest
+/// time at which job `i` still has work (time_horizon for none).
+using LockstepAdvance = std::function<TimePs(std::size_t i, TimePs horizon)>;
+
+/// Lockstep round engine for conservatively synchronized shards. Round 1
+/// calls `advance(i, first_horizon)` for every job `i`; each later round
+/// calls `advance(i, H)` with `H = min over jobs of the last round's
+/// returned times + lookahead`. The run ends after the round in which every
+/// job returned time_horizon. Returns the number of rounds run (at least 1
+/// when `jobs > 0`).
 ///
-///   1. advance — `advance(0) .. advance(jobs-1)`, each exactly once,
-///      spread over `p = resolve_threads(jobs, workers)` threads; advance
-///      bodies share no mutable state. `p <= 1` runs them on the caller
-///      thread in index order — the sequential oracle.
-///   2. exchange — `exchange()` runs on the caller thread while every
-///      worker waits at the barrier; this is the only place cross-shard
-///      state may be touched. Return true to run another round.
+/// A round's advance bodies are spread over `p = resolve_threads(jobs,
+/// workers)` threads and share no mutable state within the round; a body
+/// may read what any job wrote in an earlier round. `p <= 1` runs them on
+/// the caller thread in index order — the sequential oracle. Placement is
+/// fixed: job `i` runs on thread `i % p` in every round (thread 0 is the
+/// caller), so a shard's event queue, packet pool and registry stay in one
+/// core's cache, and a caller may key per-thread data on `i % p`.
 ///
-/// Placement is fixed: job `i` runs on thread `i % p` in every round (thread
-/// 0 is the caller), so a shard's event queue, packet pool and registry stay
-/// in one core's cache for the whole run. Worker threads persist across
-/// rounds behind a generation barrier that polls for up to 50 µs (with the
-/// CPU's spin-wait hint — x86 `pause`, aarch64 `yield` — for the first 2 µs,
-/// then yielding the thread) before parking on a condition variable, so a run
-/// of many small windows pays neither thread start-up nor a futex wake-up
-/// per round. Exceptions
-/// from advance bodies skip the round's exchange and are rethrown on the
-/// caller thread (lowest shard index first).
-void run_lockstep_rounds(std::size_t jobs, unsigned workers,
-                         const std::function<void(std::size_t)>& advance,
-                         const std::function<bool()>& exchange);
+/// Each thread publishes one cache-line slot per round (round number,
+/// earliest pending time, error flag) and waits for the others' slots. A
+/// waiter polls for up to 50 µs (with the CPU's spin-wait hint — x86
+/// `pause`, aarch64 `yield` — for the first 2 µs, then yielding the thread)
+/// before parking on a condition variable; a publisher notifies only when a
+/// count of parked waiters says someone sleeps. A run of many small windows
+/// therefore pays neither thread start-up nor a futex wake-up nor a mutex
+/// per round. An exception from an advance body ends the run after the
+/// round it failed in, and is rethrown on the caller thread (lowest job
+/// index first).
+std::uint64_t run_lockstep_rounds(std::size_t jobs, unsigned workers,
+                                  TimePs lookahead, TimePs first_horizon,
+                                  const LockstepAdvance& advance);
 
 /// Worker threads actually spawned for a request: 0 means "one per job";
 /// the result is capped by the job count and by the hardware thread count.

@@ -55,9 +55,10 @@ TEST(FabricParallel, ThreeModuleRingIsBitIdenticalForAnyWorkerCount) {
 
 TEST(FabricParallel, PropertySweepRandomTopologiesWorkersAndFaultSeeds) {
   // Random topologies (module count, target map, rate, crosspoint depth,
-  // faulted or not) × workers {1, 2, 4}: merged snapshots must always equal
-  // the sequential oracle's, and the loss ledger must always balance —
-  // faults, incast overflow and shard boundaries included.
+  // faulted or not) × workers {1, 2, 3, 4}: merged snapshots, rounds and
+  // events must always equal the sequential oracle's, and the loss ledger
+  // must always balance — faults, incast overflow and shard boundaries
+  // included. Three workers own the worlds unevenly (5 worlds: 2, 2, 1).
   Rng rng(20260808);
   for (int trial = 0; trial < 5; ++trial) {
     const std::size_t modules = 2 + rng.uniform(0, 2);  // 2..4
@@ -85,9 +86,13 @@ TEST(FabricParallel, PropertySweepRandomTopologiesWorkersAndFaultSeeds) {
     EXPECT_TRUE(oracle.ledger.balanced())
         << "trial " << trial << ": injected " << oracle.ledger.injected()
         << " accounted " << oracle.ledger.accounted();
-    for (const unsigned workers : {2u, 4u}) {
+    for (const unsigned workers : {2u, 3u, 4u}) {
       const auto run = bed.run(workers);
       EXPECT_EQ(run.metrics, oracle.metrics)
+          << "trial " << trial << " workers " << workers;
+      EXPECT_EQ(run.rounds, oracle.rounds)
+          << "trial " << trial << " workers " << workers;
+      EXPECT_EQ(run.events, oracle.events)
           << "trial " << trial << " workers " << workers;
       EXPECT_TRUE(run.ledger.balanced()) << "trial " << trial;
     }
@@ -145,8 +150,10 @@ TEST(FabricParallel, AgreesWithTheSingleSimulationReference) {
   // structure differ (one sim vs a sim per world), so the comparison is at
   // the ledger level: identical traffic, identical fault decisions,
   // identical timing → every ledger term and every module's latency
-  // percentiles identical, for any worker count. Two shapes: the unfaulted
-  // ring, and the faulted incast.
+  // percentiles identical, for any worker count; within the windowed engine
+  // the merged snapshot, rounds and events equal its own run(1). Two
+  // shapes: the unfaulted ring, and the faulted incast, whose 5 worlds
+  // split unevenly over 3 workers.
   const std::vector<std::pair<const char*, Topology>> shapes = {
       {"ring", base_topology(3, 42)}, {"incast", faulted_incast()}};
   for (const auto& [shape, topo] : shapes) {
@@ -159,11 +166,15 @@ TEST(FabricParallel, AgreesWithTheSingleSimulationReference) {
       ASSERT_GT(reference.ledger.crosspoint_drops, 0u) << shape;
     }
     FabricParallelTestbed windowed(topo);
-    for (const unsigned workers : {1u, 2u, 4u}) {
+    const auto oracle = windowed.run(1);
+    for (const unsigned workers : {1u, 2u, 3u, 4u}) {
       const auto run = windowed.run(workers);
       const std::string where =
           std::string(shape) + " workers=" + std::to_string(workers);
       expect_same_ledger(run.ledger, reference.ledger, where);
+      EXPECT_EQ(run.metrics, oracle.metrics) << where;
+      EXPECT_EQ(run.rounds, oracle.rounds) << where;
+      EXPECT_EQ(run.events, oracle.events) << where;
       ASSERT_EQ(run.modules.size(), reference.modules.size()) << where;
       for (std::size_t i = 0; i < run.modules.size(); ++i) {
         EXPECT_EQ(run.modules[i].sent_packets,

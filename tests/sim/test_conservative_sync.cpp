@@ -1,10 +1,12 @@
 // The conservative-sync primitives: bounded windows on one Simulation
 // (run_before / next_event_time) and the lockstep round engine that drives
-// many of them from a persistent worker pool.
+// many of them from a persistent worker pool, one window bound per round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -74,40 +76,62 @@ TEST(ResolveThreads, NeverExceedsHardwareOrJobCount) {
   EXPECT_GE(resolve_threads(8, 1), 1u);
 }
 
-TEST(RunLockstepRounds, RunsEveryJobOncePerRoundUntilExchangeStops) {
+// In these tests a round's horizon doubles as its number: the first horizon
+// is 0 (or 1), the lookahead is 1, and a job that wants another round
+// returns the horizon it was given.
+
+TEST(RunLockstepRounds, RunsEveryJobOncePerRoundUntilNothingIsPending) {
   constexpr std::size_t jobs = 5;
-  constexpr int rounds = 7;
+  constexpr TimePs rounds = 7;
   std::vector<std::atomic<int>> hits(jobs);
-  int exchanges = 0;
-  run_lockstep_rounds(
-      jobs, 4, [&](std::size_t i) { hits[i].fetch_add(1); },
-      [&] { return ++exchanges < rounds; });
-  EXPECT_EQ(exchanges, rounds);
+  const std::uint64_t ran = run_lockstep_rounds(
+      jobs, 4, /*lookahead=*/1, /*first_horizon=*/1,
+      [&](std::size_t i, TimePs horizon) {
+        hits[i].fetch_add(1);
+        return horizon < rounds ? horizon : time_horizon;
+      });
+  EXPECT_EQ(ran, static_cast<std::uint64_t>(rounds));
   for (const auto& h : hits) EXPECT_EQ(h.load(), rounds);
 }
 
-TEST(RunLockstepRounds, ExchangeSeesEveryAdvanceOfItsRound) {
-  // The barrier must order all advance bodies before the exchange step:
-  // every round checks that exactly `jobs` new increments landed.
+TEST(RunLockstepRounds, HorizonSeesEveryAdvanceOfItsRound) {
+  // Every thread computes the next horizon from every job's returned time:
+  // each round a different job returns the minimum, so a thread that missed
+  // any job's value would step the horizon by more than 10 + lookahead, and
+  // threads that disagreed would desynchronize (or never finish).
   constexpr std::size_t jobs = 8;
-  std::vector<std::atomic<int>> hits(jobs);
-  int round = 0;
-  bool ordered = true;
-  run_lockstep_rounds(
-      jobs, 3, [&](std::size_t i) { hits[i].fetch_add(1); },
-      [&] {
-        ++round;
-        for (const auto& h : hits) ordered = ordered && h.load() == round;
-        return round < 5;
-      });
-  EXPECT_TRUE(ordered);
+  constexpr TimePs lookahead = 5;
+  constexpr TimePs step = 10 + lookahead;
+  constexpr int rounds = 40;
+  for (const unsigned workers : {1u, 3u, 4u}) {
+    std::vector<std::vector<TimePs>> seen(jobs);
+    const std::uint64_t ran = run_lockstep_rounds(
+        jobs, workers, lookahead, /*first_horizon=*/0,
+        [&](std::size_t i, TimePs horizon) {
+          seen[i].push_back(horizon);
+          const auto round = static_cast<std::size_t>(horizon / step);
+          if (round + 1 == rounds) return time_horizon;
+          return horizon + 10 + TimePs(3 * ((i + round) % jobs));
+        });
+    EXPECT_EQ(ran, static_cast<std::uint64_t>(rounds)) << "workers=" << workers;
+    for (std::size_t i = 0; i < jobs; ++i) {
+      ASSERT_EQ(seen[i].size(), static_cast<std::size_t>(rounds));
+      for (int r = 0; r < rounds; ++r) {
+        EXPECT_EQ(seen[i][r], r * step) << "job " << i << " workers=" << workers;
+      }
+    }
+  }
 }
 
 TEST(RunLockstepRounds, SequentialPathAdvancesInIndexOrder) {
   std::vector<std::size_t> order;
-  run_lockstep_rounds(
-      4, 1, [&](std::size_t i) { order.push_back(i); },
-      [&] { return order.size() < 8; });
+  const std::uint64_t ran = run_lockstep_rounds(
+      4, 1, /*lookahead=*/1, /*first_horizon=*/0,
+      [&](std::size_t i, TimePs horizon) {
+        order.push_back(i);
+        return horizon < 1 ? horizon : time_horizon;
+      });
+  EXPECT_EQ(ran, 2u);
   ASSERT_EQ(order.size(), 8u);
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], i % 4);
@@ -116,82 +140,105 @@ TEST(RunLockstepRounds, SequentialPathAdvancesInIndexOrder) {
 
 TEST(RunLockstepRounds, PropagatesTheLowestIndexedAdvanceError) {
   for (const unsigned workers : {1u, 4u}) {
-    int exchanges = 0;
+    std::vector<int> calls(8, 0);
     try {
-      run_lockstep_rounds(
-          8, workers,
-          [](std::size_t i) {
+      (void)run_lockstep_rounds(
+          8, workers, /*lookahead=*/1, /*first_horizon=*/0,
+          [&calls](std::size_t i, TimePs horizon) {
+            ++calls[i];
             if (i >= 3) throw std::runtime_error("job " + std::to_string(i));
-          },
-          [&] {
-            ++exchanges;
-            return false;
+            return horizon;  // would run forever without the error
           });
       FAIL() << "expected an exception (workers=" << workers << ")";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "job 3");
     }
-    // A failed round must never run its exchange step.
-    EXPECT_EQ(exchanges, 0);
+    // A failed round must never start another.
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_LE(calls[i], 1) << "job " << i << " workers=" << workers;
+    }
   }
 }
 
-TEST(RunLockstepRounds, AdvanceErrorInALaterRoundSkipsThatExchange) {
-  // Two jobs fail in round 3: the lowest index wins, round 3's exchange
-  // never runs, and the pool joins cleanly (the call returns at all).
+TEST(RunLockstepRounds, AdvanceErrorInALaterRoundStartsNoFurtherRound) {
+  // Two jobs fail in round 3: the lowest index wins, no job sees round 4,
+  // and the pool joins cleanly (the call returns at all).
   for (const unsigned workers : {1u, 2u, 4u}) {
-    int round = 1;
-    int exchanges = 0;
+    std::vector<TimePs> last(6, 0);
     try {
-      run_lockstep_rounds(
-          6, workers,
-          [&round](std::size_t i) {
+      (void)run_lockstep_rounds(
+          6, workers, /*lookahead=*/1, /*first_horizon=*/1,
+          [&last](std::size_t i, TimePs round) {
+            last[i] = round;
             if (round == 3 && (i == 4 || i == 2)) {
               throw std::runtime_error("job " + std::to_string(i));
             }
-          },
-          [&] {
-            ++exchanges;
-            ++round;
-            return true;
+            return round;
           });
       FAIL() << "expected an exception (workers=" << workers << ")";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "job 2") << "workers=" << workers;
     }
-    EXPECT_EQ(exchanges, 2) << "workers=" << workers;
+    for (std::size_t i = 0; i < last.size(); ++i) {
+      // Sequentially, round 3 stops at job 2; every job still ran round 2.
+      if (workers == 1 && i > 2) {
+        EXPECT_EQ(last[i], 2) << "job " << i;
+      } else {
+        EXPECT_EQ(last[i], 3) << "job " << i << " workers=" << workers;
+      }
+    }
+  }
+}
+
+/// Job i writes a plain value each round that job (i + 1) % jobs reads the
+/// next round, double-buffered by round parity so that no round both reads
+/// and writes one cell. The round edge is the only synchronization between
+/// the write and the read (and between the read and the overwrite two rounds
+/// later) — exactly the happens-before edges TSan must see. A lost or
+/// reordered edge shows up as a wrong value. With `stall`, job
+/// (round / 3) % jobs sleeps for 200 µs every third round, longer than the
+/// 50 µs spin bound, so the other threads park and must be woken.
+void expect_values_reach_the_next_job(std::size_t jobs, unsigned workers,
+                                      TimePs rounds, bool stall) {
+  std::array<std::vector<TimePs>, 2> value;
+  value.fill(std::vector<TimePs>(jobs, 0));
+  std::vector<std::uint64_t> wrong(jobs, 0);
+  std::vector<TimePs> reads(jobs, 0);
+  const std::uint64_t ran = run_lockstep_rounds(
+      jobs, workers, /*lookahead=*/1, /*first_horizon=*/0,
+      [&](std::size_t i, TimePs round) {
+        if (stall && round % 3 == 0 &&
+            static_cast<std::size_t>(round / 3) % jobs == i) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        if (round > 0) {
+          const std::size_t from = (i + jobs - 1) % jobs;
+          if (value[(round - 1) & 1][from] != round) ++wrong[i];
+          ++reads[i];
+        }
+        value[round & 1][i] = round + 1;
+        return round + 1 < rounds ? round : time_horizon;
+      });
+  const std::string where = "jobs=" + std::to_string(jobs) +
+                            " workers=" + std::to_string(workers);
+  EXPECT_EQ(ran, static_cast<std::uint64_t>(rounds)) << where;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    EXPECT_EQ(wrong[i], 0u) << "job " << i << " " << where;
+    EXPECT_EQ(reads[i], rounds - 1) << "job " << i << " " << where;
   }
 }
 
 TEST(RunLockstepRounds, StressExchangeWritesReachTheNextAdvance) {
-  // The barrier is the only synchronization between a round's exchange and
-  // the next round's advance bodies (and back). Each job's value is a plain,
-  // non-atomic integer that the exchange writes and the next advance reads
-  // and increments — exactly the happens-before edges TSan must see. Any
-  // lost or reordered hand-off shows up as a wrong total.
-  constexpr int rounds = 20'000;
   for (const std::size_t jobs : {2u, 5u, 8u}) {
-    for (const unsigned workers : {2u, 4u}) {
-      std::vector<std::uint64_t> value(jobs, 0);
-      int round = 0;
-      bool in_step = true;
-      run_lockstep_rounds(
-          jobs, workers, [&value](std::size_t i) { value[i] += 1; },
-          [&] {
-            ++round;
-            const auto advanced = 2 * static_cast<std::uint64_t>(round) - 1;
-            for (auto& v : value) {
-              in_step = in_step && v == advanced;
-              v += 1;
-            }
-            return round < rounds;
-          });
-      EXPECT_TRUE(in_step) << "jobs=" << jobs << " workers=" << workers;
-      EXPECT_EQ(round, rounds);
-      for (const auto v : value) {
-        EXPECT_EQ(v, 2u * rounds) << "jobs=" << jobs << " workers=" << workers;
-      }
+    for (const unsigned workers : {2u, 3u, 4u}) {
+      expect_values_reach_the_next_job(jobs, workers, 20'000, false);
     }
+  }
+}
+
+TEST(RunLockstepRounds, NoWakeUpIsLostWhenAJobOutlastsTheSpin) {
+  for (const unsigned workers : {2u, 4u}) {
+    expect_values_reach_the_next_job(5, workers, 150, true);
   }
 }
 
@@ -202,13 +249,12 @@ TEST(RunLockstepRounds, EachJobStaysOnOneThreadEveryRound) {
   for (const unsigned workers : {2u, 3u, 4u}) {
     const unsigned pool = resolve_threads(jobs, workers);
     std::vector<std::vector<std::thread::id>> seen(jobs);
-    int round = 0;
-    run_lockstep_rounds(
-        jobs, workers,
-        [&seen](std::size_t i) {
+    (void)run_lockstep_rounds(
+        jobs, workers, /*lookahead=*/1, /*first_horizon=*/1,
+        [&seen](std::size_t i, TimePs round) {
           seen[i].push_back(std::this_thread::get_id());
-        },
-        [&] { return ++round < 50; });
+          return round < 50 ? round : time_horizon;
+        });
     for (std::size_t i = 0; i < jobs; ++i) {
       ASSERT_EQ(seen[i].size(), 50u);
       const std::thread::id home = seen[i % pool].front();
@@ -220,17 +266,17 @@ TEST(RunLockstepRounds, EachJobStaysOnOneThreadEveryRound) {
   }
 }
 
-TEST(RunLockstepRounds, PropagatesExchangeErrors) {
-  EXPECT_THROW(run_lockstep_rounds(
-                   4, 2, [](std::size_t) {},
-                   []() -> bool { throw std::logic_error("exchange"); }),
-               std::logic_error);
-}
-
 TEST(RunLockstepRounds, DrivesSimulationsToASharedHorizonDeterministically) {
-  // Miniature conservative sync: three sims ping events forward in windows;
-  // the merged executed-event counts must not depend on the worker count.
-  const auto run = [](unsigned workers) {
+  // Miniature conservative sync: three sims run events forward in windows;
+  // the executed-event counts and the round count must not depend on the
+  // worker count, and the rounds must be the ones a serial loop computes.
+  struct Outcome {
+    std::vector<std::uint64_t> executed;
+    std::uint64_t rounds = 0;
+    bool operator==(const Outcome&) const = default;
+  };
+  constexpr TimePs lookahead = 100;
+  const auto build = [] {
     std::vector<std::unique_ptr<Simulation>> sims;
     for (int s = 0; s < 3; ++s) {
       sims.push_back(std::make_unique<Simulation>());
@@ -239,30 +285,41 @@ TEST(RunLockstepRounds, DrivesSimulationsToASharedHorizonDeterministically) {
         sim->schedule_at(t, [] {});
       }
     }
-    constexpr TimePs lookahead = 100;
-    const auto horizon_of = [&]() {
-      TimePs min_next = time_horizon;
-      for (auto& sim : sims) {
-        min_next = std::min(min_next, sim->next_event_time());
-      }
-      return min_next == time_horizon ? time_horizon
-                                      : saturating_add(min_next, lookahead);
-    };
-    TimePs horizon = horizon_of();
-    std::vector<std::uint64_t> executed;
-    run_lockstep_rounds(
-        sims.size(), workers,
-        [&](std::size_t i) { (void)sims[i]->run_before(horizon); },
-        [&] {
-          horizon = horizon_of();
-          return horizon != time_horizon;
-        });
-    for (auto& sim : sims) executed.push_back(sim->executed_events());
-    return executed;
+    return sims;
   };
-  const auto sequential = run(1);
-  EXPECT_EQ(run(2), sequential);
-  EXPECT_EQ(run(4), sequential);
+  const auto earliest = [](const auto& sims) {
+    TimePs min_next = time_horizon;
+    for (auto& sim : sims) {
+      min_next = std::min(min_next, sim->next_event_time());
+    }
+    return min_next;
+  };
+  const auto run = [&](unsigned workers) {
+    auto sims = build();
+    Outcome out;
+    out.rounds = run_lockstep_rounds(
+        sims.size(), workers, lookahead, earliest(sims) + lookahead,
+        [&sims](std::size_t i, TimePs horizon) {
+          (void)sims[i]->run_before(horizon);
+          return sims[i]->next_event_time();
+        });
+    for (auto& sim : sims) out.executed.push_back(sim->executed_events());
+    return out;
+  };
+  Outcome serial;
+  {
+    auto sims = build();
+    for (TimePs next = earliest(sims); next != time_horizon;
+         next = earliest(sims)) {
+      for (auto& sim : sims) (void)sim->run_before(next + lookahead);
+      ++serial.rounds;
+    }
+    for (auto& sim : sims) serial.executed.push_back(sim->executed_events());
+  }
+  EXPECT_GT(serial.rounds, 1u);
+  EXPECT_EQ(run(1), serial);
+  EXPECT_EQ(run(2), serial);
+  EXPECT_EQ(run(4), serial);
 }
 
 }  // namespace
