@@ -12,6 +12,7 @@
 #include "apps/nat.hpp"
 #include "apps/softwire.hpp"
 #include "fabric/fabric_testbed.hpp"
+#include "fabric/traffic_gen.hpp"
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
 #include "net/packet_pool.hpp"
@@ -231,6 +232,32 @@ void BM_GreEncapDecap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreEncapDecap);
+
+// One TrafficGen emit per iteration: draw a size and a flow, assemble the
+// frame in a pooled packet and hand it to a handler that drops it. `fixed`
+// is nat_64b's stream (CBR, 64 B frames), `uniform` fabric_incast's
+// (Poisson, uniform 64–1518 B) and `imix` the 64/594/1518 B cycle; 1,024
+// Zipf flows each.
+void BM_TrafficGenEmit(benchmark::State& state,
+                       fabric::SizeDistribution sizes) {
+  fabric::TrafficSpec spec;
+  spec.sizes = sizes;
+  if (sizes == fabric::SizeDistribution::uniform) {
+    spec.arrivals = fabric::ArrivalProcess::poisson;
+  }
+  spec.duration = sim::TimePs{1} << 50;  // outlasts any timed run
+  sim::Simulation sim;
+  sim::LambdaHandler drop([](net::PacketPtr) {});
+  fabric::TrafficGen gen(sim, spec, drop);
+  gen.start();
+  for (auto _ : state) sim.step();
+  state.SetBytesProcessed(static_cast<std::int64_t>(gen.emitted().bytes()));
+}
+BENCHMARK_CAPTURE(BM_TrafficGenEmit, fixed64,
+                  fabric::SizeDistribution::fixed);
+BENCHMARK_CAPTURE(BM_TrafficGenEmit, imix, fabric::SizeDistribution::imix);
+BENCHMARK_CAPTURE(BM_TrafficGenEmit, uniform,
+                  fabric::SizeDistribution::uniform);
 
 // Event-queue hold model: `depth` events pending, each step pops the
 // earliest and pushes one at now + U(0, 2 * depth * 67 ns), so the queue

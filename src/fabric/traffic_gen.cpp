@@ -1,9 +1,10 @@
 #include "fabric/traffic_gen.hpp"
 
 #include <algorithm>
-#include <array>
+#include <cstring>
+#include <stdexcept>
 
-#include "net/headers.hpp"
+#include "net/checksum.hpp"
 
 namespace flexsfp::fabric {
 
@@ -11,69 +12,91 @@ namespace {
 // IMIX: 7 x 64 B, 4 x 594 B, 1 x 1518 B.
 constexpr std::array<std::size_t, 12> imix_pattern = {
     64, 64, 64, 594, 64, 594, 64, 1518, 64, 594, 64, 594};
+constexpr std::size_t kL3 = net::EthernetHeader::size();
+constexpr std::size_t kL4 = kL3 + net::Ipv4Header::min_size();
+constexpr std::size_t kUdpHeaderBytes = kL4 + net::UdpHeader::size();
+constexpr std::size_t kTcpHeaderBytes = kL4 + net::TcpHeader::min_size();
+
+// Byte i is i & 0xff, PacketBuilder::payload_size's payload. A frame copies
+// it from offset 256 - header bytes, so its payload starts at pattern 0.
+constexpr auto kPattern = [] {
+  std::array<std::uint8_t, 256 + TrafficGen::kMaxFrameBytes> pattern{};
+  for (std::size_t i = 0; i < pattern.size(); ++i) pattern[i] = i & 0xff;
+  return pattern;
+}();
+
+// kPatternSum[n]: the pattern's first n bytes summed as big-endian words.
+constexpr auto kPatternSum = [] {
+  std::array<std::uint32_t, 257> sum{};
+  for (unsigned i = 0; i < 256; ++i) sum[i + 1] = sum[i] + (i % 2 ? i : i << 8);
+  return sum;
+}();
+
+// Before anything registers: no inverted range, no wrapped total_length.
+const TrafficSpec& buildable(const TrafficSpec& spec) {
+  using enum SizeDistribution;
+  const std::size_t largest = spec.sizes == uniform ? spec.max_size
+                              : spec.sizes == fixed ? spec.fixed_size
+                                                    : 1518;
+  if (largest > TrafficGen::kMaxFrameBytes ||
+      (spec.sizes == uniform && spec.min_size > spec.max_size)) {
+    throw std::invalid_argument("TrafficGen: unbuildable frame sizes");
+  }
+  return spec;
+}
 }  // namespace
 
 TrafficGen::TrafficGen(sim::Simulation& sim, TrafficSpec spec,
                        sim::PacketHandler& output)
     : sim_(sim),
-      spec_(spec),
+      spec_(buildable(spec)),
       output_(output),
       rng_(spec.seed),
       flow_dist_(std::max<std::size_t>(spec.flow_count, 1), spec.zipf_skew),
       wire_time_(spec.rate),
       name_(sim.metrics().unique_name("gen")),
-      meter_(sim.metrics(), "gen.emitted", {{"gen", name_}}) {
-  flight_stage_ = sim_.flight().register_stage(name_);
-  prebuild_templates();
-}
-
-void TrafficGen::prebuild_templates() {
-  switch (spec_.sizes) {
-    case SizeDistribution::fixed:
-      template_sizes_ = {spec_.fixed_size};
-      break;
-    case SizeDistribution::imix:
-      template_sizes_ = {64, 594, 1518};  // the distinct IMIX frame sizes
-      break;
-    case SizeDistribution::uniform:
-      // A template per (flow, size) pair — far too many distinct frames.
-      return;
-  }
-  std::size_t per_rank_bytes = 0;
-  for (const std::size_t size : template_sizes_) {
-    per_rank_bytes += std::max<std::size_t>(size, 60);
-  }
-  const std::size_t budget_ranks =
-      per_rank_bytes > 0 ? template_budget_bytes / per_rank_bytes : 0;
-  template_ranks_ = std::min(
-      {std::max<std::size_t>(spec_.flow_count, 1), budget_ranks,
-       kMaxTemplateRanks});
-  templates_.resize(template_ranks_ * template_sizes_.size());
-  for (std::size_t rank = 1; rank <= template_ranks_; ++rank) {
-    const net::FiveTuple tuple = flow_tuple(rank);
-    for (std::size_t si = 0; si < template_sizes_.size(); ++si) {
-      build_frame(template_sizes_[si], tuple,
-                  templates_[(rank - 1) * template_sizes_.size() + si]);
-    }
-  }
-}
+      meter_(sim.metrics(), "gen.emitted", {{"gen", name_}}),
+      headers_(std::min(flow_dist_.n(), kMaxCachedRanks)),
+      flight_stage_(sim.flight().register_stage(name_)) {}
 
 net::FiveTuple TrafficGen::flow_tuple(std::size_t rank) const {
   // Derive a stable pseudo-random 5-tuple from the flow rank.
   const std::uint64_t h = net::fnv1a_u64(rank * 2654435761ull + spec_.seed);
-  net::FiveTuple tuple;
-  tuple.src = net::Ipv4Address{
-      spec_.src_base.value() + static_cast<std::uint32_t>(rank & 0xffff)};
-  tuple.dst = net::Ipv4Address{
-      spec_.dst_base.value() +
-      static_cast<std::uint32_t>((h >> 16) & 0xff)};
-  tuple.src_port = static_cast<std::uint16_t>(1024 + (h & 0x7fff));
-  tuple.dst_port = static_cast<std::uint16_t>((h >> 32) % 2 == 0 ? 80 : 443);
-  const bool tcp =
-      (double((h >> 40) & 0xff) / 255.0) < spec_.tcp_fraction;
-  tuple.protocol = static_cast<std::uint8_t>(tcp ? net::IpProto::tcp
-                                                 : net::IpProto::udp);
-  return tuple;
+  const bool tcp = (double((h >> 40) & 0xff) / 255.0) < spec_.tcp_fraction;
+  return {net::Ipv4Address{spec_.src_base.value() +
+                           static_cast<std::uint32_t>(rank & 0xffff)},
+          net::Ipv4Address{spec_.dst_base.value() +
+                           static_cast<std::uint32_t>((h >> 16) & 0xff)},
+          static_cast<std::uint16_t>(1024 + (h & 0x7fff)),
+          static_cast<std::uint16_t>((h >> 32) % 2 == 0 ? 80 : 443),
+          static_cast<std::uint8_t>(tcp ? net::IpProto::tcp
+                                        : net::IpProto::udp)};
+}
+
+TrafficGen::FlowHeader TrafficGen::make_header(std::size_t rank) const {
+  const net::FiveTuple t = flow_tuple(rank);
+  const bool tcp = t.protocol == static_cast<std::uint8_t>(net::IpProto::tcp);
+  FlowHeader head{};
+  head.length = tcp ? kTcpHeaderBytes : kUdpHeaderBytes;
+  const net::BytesSpan out{head.bytes};
+  net::EthernetHeader{spec_.dst_mac, spec_.src_mac, 0x0800}.serialize_to(out,
+                                                                         0);
+  net::Ipv4Header{.protocol = t.protocol, .src = t.src, .dst = t.dst}
+      .serialize_to(out, kL3);
+  if (tcp) {
+    net::TcpHeader{.src_port = t.src_port, .dst_port = t.dst_port,
+                   .flags = net::TcpHeader::flag_ack, .window = 0xffff}
+        .serialize_to(out, kL4);
+  } else {  // and the first payload bytes, up to 54
+    net::UdpHeader{t.src_port, t.dst_port}.serialize_to(out, kL4);
+    std::copy(kPattern.begin(), kPattern.begin() + 12, out.begin() + 42);
+  }
+  head.ip_sum = net::checksum_partial(out.subspan(kL3, kL4 - kL3));
+  // The pseudo-header but its length: both addresses and the protocol.
+  head.l4_sum = net::checksum_partial(
+      out.subspan(kL4, head.length - kL4),
+      net::checksum_partial(out.subspan(kL3 + 12, 8), t.protocol));
+  return head;
 }
 
 std::size_t TrafficGen::next_size() {
@@ -87,39 +110,6 @@ std::size_t TrafficGen::next_size() {
           rng_.uniform(spec_.min_size, spec_.max_size));
   }
   return spec_.fixed_size;
-}
-
-void TrafficGen::build_frame(std::size_t frame_size,
-                             const net::FiveTuple& tuple, net::Bytes& out) {
-  builder_.reset();
-  builder_.ethernet(spec_.dst_mac, spec_.src_mac);
-  const auto proto = static_cast<net::IpProto>(tuple.protocol);
-  builder_.ipv4(tuple.src, tuple.dst, proto);
-  if (proto == net::IpProto::tcp) {
-    builder_.tcp(tuple.src_port, tuple.dst_port);
-  } else {
-    builder_.udp(tuple.src_port, tuple.dst_port);
-  }
-  // Fill to the chosen frame size (headers included).
-  const std::size_t header_bytes =
-      net::EthernetHeader::size() + net::Ipv4Header::min_size() +
-      (proto == net::IpProto::tcp ? net::TcpHeader::min_size()
-                                  : net::UdpHeader::size());
-  builder_.payload_size(frame_size > header_bytes ? frame_size - header_bytes
-                                                  : 0);
-  builder_.min_frame_size(std::max<std::size_t>(frame_size, 60));
-  builder_.build_into(out);
-}
-
-const net::Bytes* TrafficGen::frame_template(std::size_t rank,
-                                             std::size_t frame_size) const {
-  if (rank == 0 || rank > template_ranks_) return nullptr;  // incl. uniform
-  for (std::size_t si = 0; si < template_sizes_.size(); ++si) {
-    if (template_sizes_[si] == frame_size) {
-      return &templates_[(rank - 1) * template_sizes_.size() + si];
-    }
-  }
-  return nullptr;
 }
 
 sim::TimePs TrafficGen::gap_after(std::size_t frame_bytes) {
@@ -137,15 +127,37 @@ void TrafficGen::emit() {
 
   const std::size_t frame_size = next_size();
   const std::size_t rank = flow_dist_.sample(rng_);
-
+  FlowHeader spare{};  // for ranks beyond the cache
+  FlowHeader& head = rank <= headers_.size() ? headers_[rank - 1] : spare;
+  if (head.length == 0) head = make_header(rank);
+  const std::size_t header = head.length;
+  const std::size_t payload = frame_size > header ? frame_size - header : 0;
+  // The pattern into the pooled capacity, then the flow's 54 bytes.
   net::PacketPtr packet = sim_.packet_pool().make();
-  if (const net::Bytes* tmpl = frame_template(rank, frame_size)) {
-    packet->data() = *tmpl;  // copy-assign reuses the pooled capacity
-  } else {
-    // Uncovered (uniform sizes or rank beyond the budget horizon): derive
-    // the 5-tuple and assemble the frame the slow way.
-    build_frame(frame_size, flow_tuple(rank), packet->data());
-  }
+  net::Bytes& frame = packet->data();
+  const std::uint8_t* first = kPattern.data() + 256 - header;
+  frame.assign(first, first + std::max<std::size_t>(header + payload, 60));
+  std::memcpy(frame.data(), head.bytes.data(), head.bytes.size());
+  frame.resize(header + payload);  // and back, zero-padded
+  frame.resize(std::max<std::size_t>(header + payload, 60));
+  const auto put16 = [out = frame.data()](std::size_t at, std::uint32_t v) {
+    out[at] = static_cast<std::uint8_t>(v >> 8);  // at < 53 < frame size
+    out[at + 1] = static_cast<std::uint8_t>(v);
+  };
+  const auto ip_length = static_cast<std::uint16_t>(header - kL3 + payload);
+  const auto l4_length = static_cast<std::uint16_t>(header - kL4 + payload);
+  put16(kL3 + 2, ip_length);
+  put16(kL3 + 10, net::checksum_finish(head.ip_sum + ip_length));
+  // `tcp` is 0 or 1 (no branch: it would miss on half the flows). UDP sums
+  // its length twice; TCP has no length field, so that write hits the checksum.
+  const std::size_t tcp = (header - kUdpHeaderBytes) / 12;
+  put16(kL4 + 4 + 12 * tcp, l4_length);
+  std::uint16_t checksum = net::checksum_finish(
+      head.l4_sum + std::uint32_t(2 - tcp) * l4_length +
+      std::uint32_t(payload >> 8) * kPatternSum[256] +
+      kPatternSum[payload & 0xff]);
+  if (checksum == 0 && tcp == 0) checksum = 0xffff;  // RFC 768: 0 is "none"
+  put16(kL4 + 6 + 10 * tcp, checksum);
   packet->set_id(sim_.next_packet_id());
   packet->set_created_time_ps(sim_.now());
   meter_.record(packet->size());

@@ -4,8 +4,7 @@
 // replay.
 #pragma once
 
-#include <functional>
-#include <optional>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -53,8 +52,14 @@ struct TrafficSpec {
 };
 
 /// Emits frames into `output` per the spec. Deterministic for a fixed seed.
+/// A frame is the one net::PacketBuilder builds for its flow and size: an
+/// emit copies a shared payload pattern and the flow's cached header, writes
+/// the lengths and finishes both checksums in O(1) from cached sums.
 class TrafficGen {
  public:
+  static constexpr std::size_t kMaxFrameBytes = 14 + 65535;  // IPv4's limit
+
+  /// Throws std::invalid_argument if min_size > max_size or a size is too big.
   TrafficGen(sim::Simulation& sim, TrafficSpec spec,
              sim::PacketHandler& output);
 
@@ -68,23 +73,18 @@ class TrafficGen {
   [[nodiscard]] net::FiveTuple flow_tuple(std::size_t rank) const;
 
  private:
+  /// A flow's first 54 frame bytes, length and checksum fields zero.
+  struct FlowHeader {
+    std::array<std::uint8_t, 54> bytes;
+    std::uint8_t length;   // header bytes: 54 (TCP) or 42 (UDP, + payload)
+    std::uint32_t ip_sum;  // over the IPv4 header
+    std::uint32_t l4_sum;  // over the L4 and pseudo-header, but its length
+  };
+
   void emit();
   [[nodiscard]] std::size_t next_size();
   [[nodiscard]] sim::TimePs gap_after(std::size_t frame_bytes);
-  /// Assemble the frame for (`frame_size`, `tuple`) into `out`.
-  void build_frame(std::size_t frame_size, const net::FiveTuple& tuple,
-                   net::Bytes& out);
-  /// Build the template table eagerly (constructor time — setup, not the
-  /// hot path): fixed/IMIX streams draw from a known, tiny set of frame
-  /// sizes, so every (rank, size) pair up to the budgeted rank horizon gets
-  /// its frame assembled once and steady-state emits become one memcpy.
-  void prebuild_templates();
-  /// Prebuilt frame bytes for (`rank`, `frame_size`), or nullptr when the
-  /// pair is outside the table (uniform sizes, rank beyond the budget
-  /// horizon). Frame bytes are a pure function of rank and size, so
-  /// replaying the template is bit-exact.
-  [[nodiscard]] const net::Bytes* frame_template(std::size_t rank,
-                                                 std::size_t frame_size) const;
+  [[nodiscard]] FlowHeader make_header(std::size_t rank) const;
 
   sim::Simulation& sim_;
   TrafficSpec spec_;
@@ -94,22 +94,9 @@ class TrafficGen {
   sim::SerializationTimer wire_time_{};
   std::string name_;  // registry-unique: "gen", "gen1", ...
   sim::TrafficMeter meter_;
-  /// Reused across emits so steady-state frame assembly into pooled
-  /// packets allocates nothing.
-  net::PacketBuilder builder_;
-  /// The pktgen template trick, direct-indexed: templates_[(rank-1) *
-  /// sizes + size_index] holds the prebuilt frame, so an emit is one
-  /// bounds check + one tiny size scan + one memcpy — no hash map, no
-  /// header serialization, no checksum math on the hot path. Built eagerly
-  /// for ALL ranks up to the budget horizon (construction is setup, not the
-  /// hot path), so Zipf-tail flows stop paying per-emit frame assembly.
-  std::vector<net::Bytes> templates_;
-  std::vector<std::size_t> template_sizes_;  // distinct frame sizes, <= 3
-  std::size_t template_ranks_ = 0;           // ranks covered (1-based cap)
-  static constexpr std::size_t template_budget_bytes = 8u << 20;
-  /// Rank horizon independent of the byte budget: bounds constructor-time
-  /// prebuild work for huge flow populations.
-  static constexpr std::size_t kMaxTemplateRanks = 4096;
+  /// Ranks 1..min(flow_count, 4096), built on first use (length 0 before).
+  static constexpr std::size_t kMaxCachedRanks = 4096;
+  std::vector<FlowHeader> headers_;
   std::uint16_t flight_stage_ = 0;
   std::size_t imix_cursor_ = 0;
 };

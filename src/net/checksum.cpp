@@ -62,9 +62,10 @@ std::uint32_t checksum_partial(BytesView data, std::uint32_t initial) {
 }
 
 std::uint16_t checksum_finish(std::uint32_t partial) {
-  while ((partial >> 16) != 0) {
-    partial = (partial & 0xffff) + (partial >> 16);
-  }
+  // Two folds carry any 32-bit sum into 16 bits (at most 0x1fffe after the
+  // first), with no data-dependent branch for the predictor to miss.
+  partial = (partial & 0xffff) + (partial >> 16);
+  partial = (partial & 0xffff) + (partial >> 16);
   return static_cast<std::uint16_t>(~partial & 0xffff);
 }
 

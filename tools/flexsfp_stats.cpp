@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/verifier.hpp"
 #include "apps/register.hpp"
 #include "fabric/fabric_testbed.hpp"
 #include "fabric/parallel_testbed.hpp"
@@ -44,7 +45,7 @@ void usage(std::FILE* out) {
                "                       nat; --list-apps shows choices)\n"
                "  --list-apps          list registered apps and exit\n"
                "  --rate <gbps>        offered rate per direction (default 10)\n"
-               "  --frame <bytes>      fixed frame size (default 512)\n"
+               "  --frame <bytes>      fixed frame size 60-9216 (default 512)\n"
                "  --imix               IMIX sizes instead of fixed frames\n"
                "  --poisson            Poisson arrivals instead of CBR\n"
                "  --duration-us <n>    traffic duration (default 200)\n"
@@ -257,8 +258,14 @@ int main(int argc, char** argv) {
         return bad_value(arg, argv[i], "a number");
       }
     } else if (arg == "--frame" && has_value) {
-      if (!parse_uint(argv[++i], frame)) {
-        return bad_value(arg, argv[i], kCount);
+      // From the Ethernet minimum to the largest (jumbo) frame the BPF
+      // verifier models.
+      const std::size_t max_frame =
+          analysis::VerifierOptions{}.bpf_max_frame_bytes;
+      if (!parse_uint(argv[++i], frame) || frame < 60 || frame > max_frame) {
+        const std::string range =
+            "a byte count in [60, " + std::to_string(max_frame) + "]";
+        return bad_value(arg, argv[i], range.c_str());
       }
     } else if (arg == "--imix") {
       imix = true;
@@ -351,10 +358,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "flexsfp-stats: --csv takes 'metrics' or 'flight'\n");
     return 2;
   }
-  if (rate_gbps <= 0 || duration_us == 0 || (!imix && frame < 60)) {
+  if (rate_gbps <= 0 || duration_us == 0) {
     std::fprintf(stderr,
-                 "flexsfp-stats: need --rate > 0, --duration-us >= 1 and "
-                 "--frame >= 60\n");
+                 "flexsfp-stats: need --rate > 0 and --duration-us >= 1\n");
     return 2;
   }
   if (pools && shards == 0) {
