@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "apps/nat.hpp"
@@ -141,71 +143,130 @@ FabricRunResult FabricTestbed::run() {
 
 namespace {
 
-/// One packet crossing worlds: captured on the source world's thread and
-/// owned by the source world's pool for its whole life. The destination
-/// clones it at the start of the next round; the source releases it the
-/// round after that. `arrival` already includes the link propagation delay,
-/// which is what makes it ≥ every future window start.
-struct Boundary {
+/// The fixed head of one frame crossing worlds by value. The frame's bytes
+/// follow it, padded to whole words. `arrival` already includes the link
+/// propagation delay, which is what makes it ≥ every future window start.
+struct Record {
   sim::TimePs arrival = 0;
-  std::size_t dest_world = 0;
-  int port = 0;  // module port, or crossbar input index
-  net::PacketPtr packet;
+  std::uint32_t source = 0;  // world index
+  std::int32_t port = 0;     // module port, or crossbar input index
+  std::uint64_t size = 0;    // frame bytes
+  net::PacketMeta meta;
+};
+static_assert(std::is_trivially_copyable_v<Record> && sizeof(Record) % 8 == 0);
+constexpr std::size_t kRecordWords = sizeof(Record) / 8;
+
+/// The frames one thread's worlds sent to one destination in one round, as
+/// records in world order (a thread advances its worlds in index order) and
+/// then capture order. Only that thread writes it, at capture; the
+/// destination reads it the next round. `round` says which round it holds,
+/// so nobody clears it: the first capture of a round restarts it. Each
+/// mailbox has its own cache line, because its destination reads the other
+/// parity's mailbox while the sender writes this one.
+struct alignas(64) Mailbox {
+  void append(const Record& head, const net::Bytes& bytes) {
+    const std::size_t words = kRecordWords + (bytes.size() + 7) / 8;
+    if (buffer.size() < used + words) buffer.resize(2 * (used + words));
+    std::memcpy(buffer.data() + used, &head, sizeof head);
+    std::memcpy(buffer.data() + used + kRecordWords, bytes.data(),
+                bytes.size());
+    used += words;
+  }
+
+  std::uint64_t round = 0;
+  std::size_t used = 0;  // words of `buffer` holding this round's records
+  std::vector<std::uint64_t> buffer;
 };
 
-/// The worlds of one thread that wrote to one destination in one round, in
-/// world order (a thread advances its worlds in index order). Only that
-/// thread writes it, at capture; the destination reads it the next round.
-/// `round` says which round the list belongs to, so nobody clears it: the
-/// first capture of a round restarts it. Each list has its own cache line,
-/// because its destination reads the other parity's list while the sender
-/// writes this one.
-struct alignas(64) SenderList {
-  std::uint64_t round = 0;
-  std::vector<std::size_t> worlds;
+/// A record the destination read, and where its bytes are.
+struct Inbound {
+  Record head;
+  const std::uint64_t* bytes = nullptr;
 };
 
 /// One world and its side of the boundary. Only this world's thread writes
-/// any of it; the outbox filled last round is read, never written, by its
-/// destinations during the current round.
+/// any of it.
 struct World {
-  /// The next round starts: release the buffer it refills. Its
-  /// destinations cloned those packets last round, so they go back to this
-  /// world's own pool, on this world's thread.
+  /// Round `round + 1` starts: read the records addressed to this world
+  /// from the mailboxes its senders filled last round and schedule them in
+  /// (arrival, source world, capture order). Each mailbox is in world order
+  /// and then capture order, so a stable sort on (arrival, source) realizes
+  /// exactly that key — the tie-break that keeps every worker count
+  /// bit-identical. Each frame is rebuilt in this world's pool.
   void begin_round() {
-    ++round;
-    outbox[round & 1].clear();
+    const std::uint64_t last = round++;
+    first_arrival = sim::time_horizon;
+    inbound.clear();
+    for (std::size_t t = 0; t < stride; ++t) {
+      const Mailbox& box = inbox[t][last & 1];
+      if (box.round != last) continue;
+      for (std::size_t at = 0; at < box.used;) {
+        Inbound& in = inbound.emplace_back();
+        std::memcpy(static_cast<void*>(&in.head), box.buffer.data() + at,
+                    sizeof in.head);
+        in.bytes = box.buffer.data() + at + kRecordWords;
+        at += kRecordWords + (in.head.size + 7) / 8;
+      }
+    }
+    const auto before = [](const Inbound& a, const Inbound& b) {
+      return a.head.arrival != b.head.arrival
+                 ? a.head.arrival < b.head.arrival
+                 : a.head.source < b.head.source;
+    };
+    // std::stable_sort takes a heap temporary buffer even for one element;
+    // a batch already in order (the common case) skips it.
+    if (!std::is_sorted(inbound.begin(), inbound.end(), before)) {
+      std::stable_sort(inbound.begin(), inbound.end(), before);
+    }
+    for (const Inbound& in : inbound) {
+      if (in.head.arrival < sim.now()) {
+        throw std::logic_error(
+            "conservative-sync violation: boundary packet arrives before the "
+            "window start");
+      }
+      net::PacketPtr packet = sim.packet_pool().make();
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(in.bytes);
+      packet->data().assign(bytes, bytes + in.head.size);
+      packet->set_metadata(in.head.meta);
+      sim.schedule_at(in.head.arrival, [this, port = in.head.port,
+                                        packet = std::move(packet)]() mutable {
+        if (xbar) {
+          xbar->ingress(static_cast<std::size_t>(port), std::move(packet));
+        } else {
+          rig->module->inject(port, std::move(packet));
+        }
+      });
+    }
   }
 
-  /// A packet leaves this world for `dest` at now() + `delay`; `dest` will
-  /// find this world in its sender list for the round.
+  /// A packet leaves this world for `dest` at now() + `delay`: its bytes
+  /// and metadata go into the mailbox `dest` reads next round, and the
+  /// packet itself goes back to this world's pool when `packet` drops.
   void capture(std::size_t dest, int port, net::PacketPtr packet,
                sim::TimePs delay) {
-    const unsigned fill = round & 1;
-    outbox[fill].push_back(Boundary{sim::saturating_add(sim.now(), delay),
-                                    dest, port, std::move(packet)});
-    SenderList& list = mail[dest * stride][fill];
-    if (list.round != round) {
-      list.round = round;
-      list.worlds.clear();
+    Mailbox& box = outbox[dest * stride][round & 1];
+    if (box.round != round) {
+      box.round = round;
+      box.used = 0;
     }
-    if (list.worlds.empty() || list.worlds.back() != self) {
-      list.worlds.push_back(self);
-    }
+    const Record head{sim::saturating_add(sim.now(), delay),
+                      static_cast<std::uint32_t>(self), port, packet->size(),
+                      packet->metadata()};
+    box.append(head, packet->data());
+    first_arrival = std::min(first_arrival, head.arrival);
   }
 
   sim::Simulation sim;
-  std::size_t self = 0;    // this world's index
-  std::uint64_t round = 0;  // rounds begun; round r fills outbox[r & 1]
-  /// Round r appends to outbox[r & 1]; its destinations read it in round
-  /// r + 1, and this world releases it at the start of round r + 2.
-  std::array<std::vector<Boundary>, 2> outbox;
-  /// This world's thread's sender lists: destination d's pair (one list
-  /// per round parity) is at mail[d * stride].
-  std::array<SenderList, 2>* mail = nullptr;
-  std::size_t stride = 1;                // threads in the run
-  std::vector<std::size_t> senders;      // this round's, merged
-  std::vector<const Boundary*> inbound;  // this round's pulled batch
+  std::size_t self = 0;     // this world's index
+  std::uint64_t round = 0;  // rounds begun; round r fills mailboxes r & 1
+  sim::TimePs first_arrival = sim::time_horizon;  // of this round's captures
+  /// Mailboxes per (destination, thread), one per round parity: this
+  /// world's thread writes destination d's at outbox[d * stride], and this
+  /// world reads thread t's at inbox[t].
+  std::array<Mailbox, 2>* outbox = nullptr;
+  const std::array<Mailbox, 2>* inbox = nullptr;
+  std::size_t stride = 1;        // threads in the run
+  std::vector<Inbound> inbound;  // this round's batch
   std::unique_ptr<detail::ModuleRig> rig;  // module worlds
   std::unique_ptr<Crossbar> xbar;          // the crossbar world
 };
@@ -260,79 +321,16 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
   for (std::size_t i = 0; i < modules; ++i) worlds[i]->rig->gen->start();
 
   // World i runs on thread i % pool (the engine's fixed placement), so the
-  // sender lists are kept per (destination, thread) and each is written by
-  // one thread only.
+  // mailboxes are kept per (destination, thread) and each is written by one
+  // thread only.
   const unsigned pool = sim::resolve_threads(worlds.size(), workers);
-  std::vector<std::array<SenderList, 2>> mail(worlds.size() * pool);
+  std::vector<std::array<Mailbox, 2>> mail(worlds.size() * pool);
   for (std::size_t i = 0; i < worlds.size(); ++i) {
     worlds[i]->self = i;
-    worlds[i]->mail = mail.data() + i % pool;
+    worlds[i]->outbox = mail.data() + i % pool;
+    worlds[i]->inbox = mail.data() + i * pool;
     worlds[i]->stride = pool;
   }
-
-  // Pull the batch addressed to world `self` out of the outboxes its
-  // senders filled last round, and schedule it in (arrival, source world,
-  // capture order): senders are taken in world order and outboxes in
-  // capture order, so a stable sort on arrival realizes exactly that key —
-  // the tie-break that keeps every worker count bit-identical. Finding the
-  // senders reads one list per thread, so an idle destination scans
-  // nothing. The source packets are only read; each is cloned into this
-  // world's pool.
-  const auto pull = [&worlds, &mail, pool](std::size_t self) {
-    World& world = *worlds[self];
-    const std::uint64_t last = world.round - 1;
-    const unsigned filled = last & 1;
-    world.senders.clear();
-    for (unsigned t = 0; t < pool; ++t) {
-      const SenderList& list = mail[self * pool + t][filled];
-      if (list.round == last) {
-        world.senders.insert(world.senders.end(), list.worlds.begin(),
-                             list.worlds.end());
-      }
-    }
-    // Each thread's list is in world order; merge them.
-    if (!std::is_sorted(world.senders.begin(), world.senders.end())) {
-      std::sort(world.senders.begin(), world.senders.end());
-    }
-    world.inbound.clear();
-    for (const std::size_t src : world.senders) {
-      for (const Boundary& boundary : worlds[src]->outbox[filled]) {
-        if (boundary.dest_world == self) world.inbound.push_back(&boundary);
-      }
-    }
-    const auto by_arrival = [](const Boundary* a, const Boundary* b) {
-      return a->arrival < b->arrival;
-    };
-    // std::stable_sort takes a heap temporary buffer even for one element;
-    // a batch already in order (the common case) skips it.
-    if (!std::is_sorted(world.inbound.begin(), world.inbound.end(),
-                        by_arrival)) {
-      std::stable_sort(world.inbound.begin(), world.inbound.end(), by_arrival);
-    }
-    for (const Boundary* boundary : world.inbound) {
-      if (boundary->arrival < world.sim.now()) {
-        throw std::logic_error(
-            "conservative-sync violation: boundary packet arrives before the "
-            "window start");
-      }
-      net::PacketPtr packet = world.sim.packet_pool().clone(*boundary->packet);
-      if (world.xbar) {
-        world.sim.schedule_at(
-            boundary->arrival,
-            [xbar = world.xbar.get(), in = boundary->port,
-             packet = std::move(packet)]() mutable {
-              xbar->ingress(static_cast<std::size_t>(in), std::move(packet));
-            });
-      } else {
-        world.sim.schedule_at(
-            boundary->arrival,
-            [module = world.rig->module.get(), port = boundary->port,
-             packet = std::move(packet)]() mutable {
-              module->inject(port, std::move(packet));
-            });
-      }
-    }
-  };
 
   // The conservative window bound: every world may run strictly past the
   // globally earliest pending event or boundary arrival plus the link
@@ -351,20 +349,9 @@ FabricRunResult FabricParallelTestbed::run(unsigned workers) {
         [&](std::size_t self, sim::TimePs horizon) {
           World& world = *worlds[self];
           world.begin_round();
-          pull(self);
           (void)world.sim.run_before(horizon);
-          // Captures happen at a non-decreasing now(), so the first one
-          // arrives first.
-          const auto& filled = world.outbox[world.round & 1];
-          return std::min(world.sim.next_event_time(),
-                          filled.empty() ? sim::time_horizon
-                                         : filled.front().arrival);
+          return std::min(world.sim.next_event_time(), world.first_arrival);
         });
-  }
-  // The last round's destinations have cloned everything; release both
-  // buffers so every world's pool reads empty in the snapshots below.
-  for (auto& world : worlds) {
-    for (auto& outbox : world->outbox) outbox.clear();
   }
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -10,20 +10,18 @@
 //     for the crossbar, advanced in conservative-sync windows: the link
 //     propagation delay is the lookahead, so every world can safely run to
 //     (min next event or boundary arrival across worlds) + delay. A packet
-//     captured at a world's uplink during window r goes into that world's
-//     outbox for r (two buffers, alternating by round parity), still a
-//     PacketPtr of its source world, with a timestamp provably ≥ the next
-//     window start, and the source's thread lists the world among the
-//     destination's senders for r. At the start of window r + 1 each
-//     destination reads its sender lists, pulls the records addressed to it
-//     from those outboxes, and clones each frame into its own pool; at the
-//     start of window r + 2 the source clears that buffer, releasing its
-//     packets into its own pool on its own thread. So no refcount or free
-//     list is ever touched by two threads, and a round has no serial step:
-//     each thread computes the next window bound from the earliest pending
-//     times every thread published. Batches are applied in (arrival, source
-//     world, capture seq) order, so results are bit-identical for any
-//     worker count. DESIGN.md §11 has the proof sketch.
+//     captured at a world's uplink during window r crosses by value: its
+//     bytes and metadata, with a timestamp provably ≥ the next window
+//     start, go into a mailbox that only the source's thread writes (one
+//     per destination, thread and round parity), and the source releases
+//     the packet into its own pool at once. At the start of window r + 1
+//     each destination reads its mailboxes for r and rebuilds every frame
+//     in its own pool. So no packet, refcount or free list is ever touched
+//     by two threads, and a round has no serial step: each thread computes
+//     the next window bound from the earliest pending times every thread
+//     published. Batches are applied in (arrival, source world, capture
+//     seq) order, so results are bit-identical for any worker count.
+//     DESIGN.md §11 has the proof sketch.
 //
 // Either way the run ends with a loss ledger: every packet the generators
 // (plus fault duplication) injected is delivered or sits in a named drop

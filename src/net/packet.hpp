@@ -6,11 +6,14 @@
 // reference returns the buffer — payload capacity included — to its pool's
 // free list instead of the heap. The refcount is deliberately non-atomic:
 // a packet belongs to exactly one shard (one Simulation, one thread) at a
-// time, and the only cross-thread handoff in the codebase is the parallel
-// testbed's join barrier, which synchronizes. See DESIGN.md §9.
+// time. The fabric engine never hands a packet between worlds: it copies the
+// frame's bytes and PacketMeta into a mailbox, and the destination rebuilds
+// it in its own pool. Packets that outlive a parallel run are touched only
+// after its join, which synchronizes. See DESIGN.md §9 and §11.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "net/bytes.hpp"
@@ -30,6 +33,20 @@ void release_packet(Packet* packet);
 /// Monotonic per-simulation packet identity, handy for tracing.
 using PacketId = std::uint64_t;
 
+/// The simulation metadata a packet carries beside its bytes, as one value:
+/// copying a packet, scrubbing it for reuse and carrying it across fabric
+/// worlds (fabric_testbed.cpp) all move this struct whole, so a field added
+/// here cannot be dropped by one of them.
+struct PacketMeta {
+  PacketId id = 0;
+  std::int64_t ingress_time_ps = 0;
+  std::int64_t created_time_ps = 0;
+  int ingress_port = 0;
+  std::uint64_t user_metadata = 0;
+};
+static_assert(std::is_trivially_copyable_v<PacketMeta>,
+              "PacketMeta crosses fabric worlds as raw bytes");
+
 /// A packet: the on-wire bytes (Ethernet frame without preamble/FCS) plus
 /// simulation metadata that a real datapath would carry as side-band signals.
 class Packet {
@@ -38,18 +55,17 @@ class Packet {
   explicit Packet(Bytes data) : data_(std::move(data)) {}
   /// Copying duplicates the wire bytes and metadata but never the intrusive
   /// bookkeeping — the copy starts unreferenced and pool-less.
-  Packet(const Packet& other) : data_(other.data_) { copy_metadata(other); }
+  Packet(const Packet& other) : data_(other.data_), meta_(other.meta_) {}
   Packet& operator=(const Packet& other) {
     data_ = other.data_;
-    copy_metadata(other);
+    meta_ = other.meta_;
     return *this;
   }
-  Packet(Packet&& other) noexcept : data_(std::move(other.data_)) {
-    copy_metadata(other);
-  }
+  Packet(Packet&& other) noexcept
+      : data_(std::move(other.data_)), meta_(other.meta_) {}
   Packet& operator=(Packet&& other) noexcept {
     data_ = std::move(other.data_);
-    copy_metadata(other);
+    meta_ = other.meta_;
     return *this;
   }
 
@@ -64,63 +80,53 @@ class Packet {
 
   // --- simulation metadata -------------------------------------------------
 
-  [[nodiscard]] PacketId id() const { return id_; }
-  void set_id(PacketId id) { id_ = id; }
+  /// Every metadata field at once (the accessors below read and write one).
+  [[nodiscard]] const PacketMeta& metadata() const { return meta_; }
+  void set_metadata(const PacketMeta& meta) { meta_ = meta; }
+
+  [[nodiscard]] PacketId id() const { return meta_.id; }
+  void set_id(PacketId id) { meta_.id = id; }
 
   /// Picoseconds since simulation start when the first bit entered the
   /// module under test; used for latency accounting.
   [[nodiscard]] std::int64_t ingress_time_ps() const {
-    return ingress_time_ps_;
+    return meta_.ingress_time_ps;
   }
-  void set_ingress_time_ps(std::int64_t t) { ingress_time_ps_ = t; }
+  void set_ingress_time_ps(std::int64_t t) { meta_.ingress_time_ps = t; }
 
   /// When the traffic source emitted the packet (end-to-end latency base;
   /// unlike ingress_time_ps this is never overwritten downstream).
   [[nodiscard]] std::int64_t created_time_ps() const {
-    return created_time_ps_;
+    return meta_.created_time_ps;
   }
-  void set_created_time_ps(std::int64_t t) { created_time_ps_ = t; }
+  void set_created_time_ps(std::int64_t t) { meta_.created_time_ps = t; }
 
   /// Which module interface the packet arrived on (0 = edge/electrical,
   /// 1 = optical). Architecture shells use this for demux decisions.
-  [[nodiscard]] int ingress_port() const { return ingress_port_; }
-  void set_ingress_port(int port) { ingress_port_ = port; }
+  [[nodiscard]] int ingress_port() const { return meta_.ingress_port; }
+  void set_ingress_port(int port) { meta_.ingress_port = port; }
 
   /// Scratch metadata word usable by pipeline stages (models per-packet
   /// metadata bus in an RMT-style design).
-  [[nodiscard]] std::uint64_t user_metadata() const { return user_metadata_; }
-  void set_user_metadata(std::uint64_t v) { user_metadata_ = v; }
+  [[nodiscard]] std::uint64_t user_metadata() const {
+    return meta_.user_metadata;
+  }
+  void set_user_metadata(std::uint64_t v) { meta_.user_metadata = v; }
 
  private:
   friend class PacketPtr;
   friend class PacketPool;
   friend void detail::release_packet(Packet* packet);
 
-  void copy_metadata(const Packet& other) {
-    id_ = other.id_;
-    ingress_time_ps_ = other.ingress_time_ps_;
-    created_time_ps_ = other.created_time_ps_;
-    ingress_port_ = other.ingress_port_;
-    user_metadata_ = other.user_metadata_;
-  }
-
   /// Scrub simulation state before the buffer re-enters the free list. The
   /// payload vector is cleared, not shrunk — capacity reuse is the point.
   void reset_for_reuse() {
     data_.clear();
-    id_ = 0;
-    ingress_time_ps_ = 0;
-    created_time_ps_ = 0;
-    ingress_port_ = 0;
-    user_metadata_ = 0;
+    meta_ = {};
   }
 
   Bytes data_;
-  PacketId id_ = 0;
-  std::int64_t ingress_time_ps_ = 0;
-  std::int64_t created_time_ps_ = 0;
-  int ingress_port_ = 0;
-  std::uint64_t user_metadata_ = 0;
+  PacketMeta meta_;
   // Intrusive bookkeeping (owned by PacketPtr / PacketPool, never copied).
   std::uint32_t refs_ = 0;
   detail::PacketPoolCore* pool_core_ = nullptr;
@@ -189,8 +195,8 @@ class PacketPtr {
 /// bytes + simulation metadata, no intrusive bookkeeping) that may outlive
 /// the packet's pool and thread. Its one remaining user is perfbench's frame
 /// sampler, which keeps delivered frames past the run. Cross-world handoff
-/// in the fabric engine does not detach: the destination clones straight
-/// into its own pool during its own round (PacketPool::clone).
+/// in the fabric engine does not detach: it copies the bytes and PacketMeta
+/// into a mailbox, and the destination rebuilds the packet in its own pool.
 [[nodiscard]] inline Packet detach_frame(const Packet& packet) {
   return packet;
 }

@@ -14,8 +14,9 @@
 // frames after the shard's Simulation is gone). The pool therefore keeps
 // its state in a heap-allocated core; destroying the pool drains the free
 // list and orphans the core, and the last outstanding packet release frees
-// it. Everything is single-threaded by the shard ownership contract — the
-// only cross-thread handoff is the parallel testbed's join barrier.
+// it. Everything is single-threaded by the shard ownership contract: a
+// packet is made and released on its pool's thread, and what crosses
+// threads in the fabric engine is a by-value copy of its bytes and metadata.
 #pragma once
 
 #include <cstddef>

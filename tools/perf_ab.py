@@ -2,15 +2,18 @@
 """Same-box A/B of one perfbench metric: merge-base against this checkout.
 
     python3 tools/perf_ab.py --workload fabric_incast --metric pkts_per_s \\
-        --pairs 10 --seconds 6 [--base HEAD~1] [--seed 1]
+        --pairs 10 --seconds 6 [--base HEAD~1 | --base-tree DIR] [--seed 1]
 
 Run from the repository root. The script checks out the merge-base of
 --base and HEAD into a temporary `git worktree` (the default --base HEAD~1
-suits a committed change; pass --base HEAD while it is uncommitted), then
-runs `perfbench/run.py` on both sides in alternating order (base first in
-even pairs, change first in odd pairs), so drift on the host hits both
-sides alike. Each side builds its own benchmark tree before the first
-pair; the worktree is removed at exit.
+suits a committed change; pass --base HEAD while it is uncommitted), or
+takes --base-tree DIR, an existing checkout of the base (for example a
+`git clone` of the parent commit), as the base side. It then runs
+`perfbench/run.py` on both sides in alternating order (base first in even
+pairs, change first in odd pairs), so drift on the host hits both sides
+alike. Each side builds its own benchmark tree before the first pair; a
+worktree the script made is removed at exit, a --base-tree is left as it
+is.
 
 It prints every pair, each side's median and interquartile range, the sign
 count (pairs the change won) and a verdict under the rule a claimed gain
@@ -127,6 +130,15 @@ def git(root: str, *args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def base_tree(path: str) -> str:
+    """The absolute path of an existing base checkout; ValueError unless it
+    holds perfbench/run.py."""
+    tree = os.path.abspath(path)
+    if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
+        raise ValueError(f"{path!r} is not a checkout with perfbench/run.py")
+    return tree
+
+
 def run_side(root: str, args: argparse.Namespace, seconds: float) -> dict:
     """One perfbench run: {"attempted": n, "failed": n, "metrics": {name:
     value}}."""
@@ -161,12 +173,22 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--base", default="HEAD~1",
-                        help="revision whose merge-base with HEAD is the "
-                             "base side (default HEAD~1)")
+    side = parser.add_mutually_exclusive_group()
+    side.add_argument("--base", default="HEAD~1",
+                      help="revision whose merge-base with HEAD is the base "
+                           "side, checked out into a temporary worktree "
+                           "(default HEAD~1)")
+    side.add_argument("--base-tree", metavar="DIR",
+                      help="an existing checkout to run as the base side "
+                           "instead, e.g. a git clone of the parent")
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    if args.base_tree is not None:
+        try:
+            args.base_tree = base_tree(args.base_tree)
+        except ValueError as err:
+            parser.error(f"--base-tree: {err}")
 
     root = os.getcwd()
     better = metric_direction(root, args.metric)
@@ -174,20 +196,24 @@ def main() -> int:
         parser.error(f"{args.metric!r} has no better direction in "
                      "BENCHMARK.json")
 
-    try:
-        sha = git(root, "merge-base", args.base, "HEAD")
-    except subprocess.CalledProcessError as err:
-        print(f"perf_ab: cannot resolve the merge-base: {err.stderr.strip()}",
-              file=sys.stderr)
-        return 2
+    if args.base_tree is not None:
+        tree, label = args.base_tree, args.base_tree
+    else:
+        try:
+            sha = git(root, "merge-base", args.base, "HEAD")
+        except subprocess.CalledProcessError as err:
+            print("perf_ab: cannot resolve the merge-base: "
+                  f"{err.stderr.strip()}", file=sys.stderr)
+            return 2
+        tree, label = tempfile.mkdtemp(prefix="perf_ab_base_"), sha[:12]
 
-    tree = tempfile.mkdtemp(prefix="perf_ab_base_")
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     try:
-        git(root, "worktree", "add", "--detach", tree, sha)
+        if args.base_tree is None:
+            git(root, "worktree", "add", "--detach", tree, sha)
         sides = {"base": tree, "change": root}
         print(f"perf_ab: {args.workload} {args.metric} ({better} is better), "
-              f"base {sha[:12]} vs working tree, {args.pairs} pairs of "
+              f"base {label} vs working tree, {args.pairs} pairs of "
               f"{args.seconds:g} s", flush=True)
         for name, side in sides.items():  # build, and warm the page cache
             run_side(side, args, min(args.seconds, 0.5))
@@ -204,9 +230,10 @@ def main() -> int:
         print(f"perf_ab: {err}", file=sys.stderr)
         return 2
     finally:
-        subprocess.run(["git", "-C", root, "worktree", "remove", "--force",
-                        tree], capture_output=True)
-        shutil.rmtree(tree, ignore_errors=True)
+        if args.base_tree is None:
+            subprocess.run(["git", "-C", root, "worktree", "remove", "--force",
+                            tree], capture_output=True)
+            shutil.rmtree(tree, ignore_errors=True)
 
     base = [run["metrics"][args.metric] for run in runs["base"]]
     change = [run["metrics"][args.metric] for run in runs["change"]]

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Self-test of tools/perf_ab.py's statistics: quartiles, sign count and the
-9-of-10 + IQR verdict on hand-built paired samples, plus its refusal of a
-metric BENCHMARK.json does not list (no benchmark is run).
+9-of-10 + IQR verdict on hand-built paired samples, its refusal of a metric
+BENCHMARK.json does not list, and a whole --base-tree A/B between two stub
+checkouts whose perfbench/run.py prints a fixed result (no benchmark is
+run).
 
 Usage: python3 tools/test_perf_ab.py
 """
@@ -10,8 +12,10 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SPEC = importlib.util.spec_from_file_location(
@@ -138,6 +142,43 @@ def main() -> int:
                                "fabric_incast", *extra], cwd=root,
                               capture_output=True, text=True)
         check(f"{' '.join(extra)} exits 2", proc.returncode == 2)
+
+    # --base-tree takes an existing checkout as the base side, git or not:
+    # stub trees whose perfbench reports 100 (base) and 200 (change) pkt/s
+    # give a gain over 10 pairs, and the base tree is left where it was.
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {}
+        for name, value in (("base", 100.0), ("change", 200.0)):
+            side = os.path.join(tmp, name)
+            os.makedirs(os.path.join(side, "perfbench"))
+            result = {"correct": True, "attempted": 10, "failed": 0,
+                      "metrics": {"pkts_per_s": {"value": value}}}
+            with open(os.path.join(side, "perfbench", "run.py"), "w") as fh:
+                fh.write(f"import json\nprint(json.dumps({result!r}))\n")
+            shutil.copy(os.path.join(root, "BENCHMARK.json"), side)
+            sides[name] = side
+        proc = subprocess.run([sys.executable, script, "--workload",
+                               "fabric_incast", "--base-tree", sides["base"]],
+                              cwd=sides["change"], capture_output=True,
+                              text=True)
+        check("--base-tree A/B exits 0 on a gain", proc.returncode == 0)
+        check("--base-tree A/B names the base tree", sides["base"] in proc.stdout)
+        check("--base-tree A/B runs 10 pairs",
+              "change better in 10 of 10 pairs" in proc.stdout)
+        check("--base-tree is left in place",
+              os.path.isfile(os.path.join(sides["base"], "perfbench", "run.py")))
+
+        # A directory without perfbench/run.py, and --base with --base-tree,
+        # are usage errors.
+        for what, extra in (
+                ("a tree without perfbench", ["--base-tree", tmp]),
+                ("--base with --base-tree",
+                 ["--base-tree", sides["base"], "--base", "HEAD"])):
+            proc = subprocess.run([sys.executable, script, "--workload",
+                                   "fabric_incast", *extra],
+                                  cwd=sides["change"], capture_output=True,
+                                  text=True)
+            check(f"{what} exits 2", proc.returncode == 2)
 
     print(f"{len(FAILURES)} failure(s)")
     return 1 if FAILURES else 0
