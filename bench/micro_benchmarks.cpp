@@ -4,7 +4,10 @@
 // the modeled hardware throughput.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
+#include <array>
+#include <fstream>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "apps/acl.hpp"
@@ -12,6 +15,8 @@
 #include "apps/nat.hpp"
 #include "apps/softwire.hpp"
 #include "fabric/fabric_testbed.hpp"
+#include "fabric/mailbox.hpp"
+#include "fabric/testbed.hpp"
 #include "fabric/traffic_gen.hpp"
 #include "net/builder.hpp"
 #include "net/checksum.hpp"
@@ -259,6 +264,42 @@ BENCHMARK_CAPTURE(BM_TrafficGenEmit, imix, fabric::SizeDistribution::imix);
 BENCHMARK_CAPTURE(BM_TrafficGenEmit, uniform,
                   fabric::SizeDistribution::uniform);
 
+// One ModuleTestbed run per iteration, nat_64b's datapath: StaticNat with
+// 1,024 mappings on the One-Way-Filter, 64 B CBR frames of 1,024 Zipf flows
+// at 10 Gb/s for 200 us from the edge. Only run() is timed (it ends with
+// the run's snapshot). `time_per_pkt` is host seconds per emitted packet,
+// printed with an SI prefix (n = ns); `events_per_pkt` is the events the
+// simulation executed per emitted packet.
+void BM_ModulePacket(benchmark::State& state) {
+  using sim::operator""_us;
+  std::optional<fabric::ModuleTestbed> testbed;
+  std::uint64_t packets = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    fabric::TestbedConfig config;
+    fabric::TrafficSpec spec;
+    spec.rate = sim::DataRate::gbps(10);
+    spec.fixed_size = 64;
+    spec.duration = 200_us;
+    config.edge_traffic = spec;
+    auto nat = std::make_unique<apps::StaticNat>();
+    for (std::uint32_t i = 0; i < 1024; ++i) {
+      nat->add_mapping(net::Ipv4Address{0x0a000000u + i},
+                       net::Ipv4Address{0xcb007100u + i});
+    }
+    testbed.reset();  // the last run's teardown stays untimed
+    testbed.emplace(std::move(config), std::move(nat));
+    state.ResumeTiming();
+    packets += testbed->run().edge_to_optical.sent_packets;
+    events += testbed->sim().executed_events();
+  }
+  state.counters["time_per_pkt"] = benchmark::Counter(
+      double(packets), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["events_per_pkt"] = double(events) / double(packets);
+}
+BENCHMARK(BM_ModulePacket)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // Event-queue hold model: `depth` events pending, each step pops the
 // earliest and pushes one at now + U(0, 2 * depth * 67 ns), so the queue
 // stays `depth` deep and events sit about 67 ns apart (one 64 B frame time
@@ -308,39 +349,31 @@ void BM_LockstepRound(benchmark::State& state) {
 BENCHMARK(BM_LockstepRound)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // The fabric engine's cross-world handoff for one frame of `size` bytes, by
-// value, one lockstep round per iteration: the source world captures a
-// pooled packet, appends a record (a 64-byte header with the packet's
-// metadata, then the bytes padded to 8) to its mailbox and releases the
-// packet into its own pool at once; the destination reads the header back
-// with memcpy and rebuilds the frame in its own pool. Both pools are warm,
-// so the steady state reuses recycled capacity on both sides.
+// value, one lockstep round per iteration, through the engine's own
+// fabric::detail::Mailbox: the source world captures a pooled packet,
+// appends its record (a 64-byte header with the packet's metadata, then
+// the bytes padded to 8) and releases the packet into its own pool at once;
+// the destination reads the record back and rebuilds the frame in its own
+// pool. Both pools are warm, so the steady state reuses recycled capacity
+// on both sides.
 void BM_FabricHandoff(benchmark::State& state) {
-  struct Header {
-    sim::TimePs arrival;
-    std::uint32_t source;
-    std::int32_t port;
-    std::uint64_t size;
-    net::PacketMeta meta;
-  };
-  constexpr std::size_t kHeaderWords = sizeof(Header) / 8;
   net::PacketPool source;
   net::PacketPool destination;
   net::Packet sized(sample_frame(0));
   sized.data().resize(static_cast<std::size_t>(state.range(0)), 0x5a);
-  std::vector<std::uint64_t> mailbox(kHeaderWords + (sized.size() + 7) / 8);
+  fabric::detail::Mailbox mailbox;
   for (auto _ : state) {
     {
       const net::PacketPtr captured = source.clone(sized);  // at the uplink
-      const Header head{0, 0, 0, captured->size(), captured->metadata()};
-      std::memcpy(mailbox.data(), &head, sizeof head);
-      std::memcpy(mailbox.data() + kHeaderWords, captured->data().data(),
-                  captured->size());
+      mailbox.used = 0;  // a new round
+      mailbox.append({0, 0, 0, captured->size(), captured->metadata()},
+                     captured->data());
     }  // released into the source pool
-    Header head;
-    std::memcpy(static_cast<void*>(&head), mailbox.data(), sizeof head);
-    net::PacketPtr delivered = destination.make();
+    std::size_t at = 0;
+    fabric::detail::Record head;
     const auto* bytes =
-        reinterpret_cast<const std::uint8_t*>(mailbox.data() + kHeaderWords);
+        reinterpret_cast<const std::uint8_t*>(mailbox.read(at, head));
+    net::PacketPtr delivered = destination.make();
     delivered->data().assign(bytes, bytes + head.size);
     delivered->set_metadata(head.meta);
     benchmark::DoNotOptimize(delivered->data().data());
@@ -384,12 +417,26 @@ fabric::Topology fabric_topology(FabricShape shape, std::size_t modules) {
   return topo;
 }
 
+/// The host's steal time so far in jiffies, read (never written) from the
+/// `steal` column of /proc/stat's first line; 0 where it cannot be read.
+std::uint64_t steal_jiffies() {
+  std::ifstream stat("/proc/stat");
+  std::string cpu;
+  std::array<std::uint64_t, 8> columns{};  // user ... softirq, steal
+  stat >> cpu;
+  for (std::uint64_t& column : columns) stat >> column;
+  return stat ? columns[7] : 0;
+}
+
 void BM_FabricEngine(benchmark::State& state, FabricShape shape) {
   const fabric::Topology topo = fabric_topology(
       shape, static_cast<std::size_t>(state.range(0)));
   const auto workers = static_cast<unsigned>(state.range(1));
   fabric::FabricParallelTestbed windowed(topo);
   std::uint64_t delivered = 0;
+  // Steal time swings the 2- and 4-worker rows; it is recorded next to
+  // each row so runs can be compared at equal steal.
+  const std::uint64_t steal_before = steal_jiffies();
   for (auto _ : state) {
     if (workers == 0) {
       fabric::FabricTestbed single(topo);
@@ -398,6 +445,7 @@ void BM_FabricEngine(benchmark::State& state, FabricShape shape) {
       delivered += windowed.run(workers).ledger.delivered;
     }
   }
+  state.counters["steal_jiffies"] = double(steal_jiffies() - steal_before);
   benchmark::DoNotOptimize(delivered);
 }
 BENCHMARK_CAPTURE(BM_FabricEngine, incast, FabricShape::incast)

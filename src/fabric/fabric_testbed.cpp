@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 #include "apps/nat.hpp"
+#include "fabric/mailbox.hpp"
 #include "sim/parallel.hpp"
 
 namespace flexsfp::fabric {
@@ -143,40 +142,8 @@ FabricRunResult FabricTestbed::run() {
 
 namespace {
 
-/// The fixed head of one frame crossing worlds by value. The frame's bytes
-/// follow it, padded to whole words. `arrival` already includes the link
-/// propagation delay, which is what makes it ≥ every future window start.
-struct Record {
-  sim::TimePs arrival = 0;
-  std::uint32_t source = 0;  // world index
-  std::int32_t port = 0;     // module port, or crossbar input index
-  std::uint64_t size = 0;    // frame bytes
-  net::PacketMeta meta;
-};
-static_assert(std::is_trivially_copyable_v<Record> && sizeof(Record) % 8 == 0);
-constexpr std::size_t kRecordWords = sizeof(Record) / 8;
-
-/// The frames one thread's worlds sent to one destination in one round, as
-/// records in world order (a thread advances its worlds in index order) and
-/// then capture order. Only that thread writes it, at capture; the
-/// destination reads it the next round. `round` says which round it holds,
-/// so nobody clears it: the first capture of a round restarts it. Each
-/// mailbox has its own cache line, because its destination reads the other
-/// parity's mailbox while the sender writes this one.
-struct alignas(64) Mailbox {
-  void append(const Record& head, const net::Bytes& bytes) {
-    const std::size_t words = kRecordWords + (bytes.size() + 7) / 8;
-    if (buffer.size() < used + words) buffer.resize(2 * (used + words));
-    std::memcpy(buffer.data() + used, &head, sizeof head);
-    std::memcpy(buffer.data() + used + kRecordWords, bytes.data(),
-                bytes.size());
-    used += words;
-  }
-
-  std::uint64_t round = 0;
-  std::size_t used = 0;  // words of `buffer` holding this round's records
-  std::vector<std::uint64_t> buffer;
-};
+using detail::Mailbox;
+using detail::Record;
 
 /// A record the destination read, and where its bytes are.
 struct Inbound {
@@ -202,10 +169,7 @@ struct World {
       if (box.round != last) continue;
       for (std::size_t at = 0; at < box.used;) {
         Inbound& in = inbound.emplace_back();
-        std::memcpy(static_cast<void*>(&in.head), box.buffer.data() + at,
-                    sizeof in.head);
-        in.bytes = box.buffer.data() + at + kRecordWords;
-        at += kRecordWords + (in.head.size + 7) / 8;
+        in.bytes = box.read(at, in.head);
       }
     }
     const auto before = [](const Inbound& a, const Inbound& b) {

@@ -96,7 +96,39 @@ TrafficGen::FlowHeader TrafficGen::make_header(std::size_t rank) const {
   head.l4_sum = net::checksum_partial(
       out.subspan(kL4, head.length - kL4),
       net::checksum_partial(out.subspan(kL3 + 12, 8), t.protocol));
+  // One frame size: the lengths and checksums are final here, not per emit.
+  if (spec_.sizes == SizeDistribution::fixed) {
+    write_fields(head.bytes.data(), head, payload_after(head, spec_.fixed_size));
+  }
   return head;
+}
+
+std::size_t TrafficGen::payload_after(const FlowHeader& head,
+                                      std::size_t frame_size) {
+  return frame_size > head.length ? frame_size - head.length : 0;
+}
+
+void TrafficGen::write_fields(std::uint8_t* out, const FlowHeader& head,
+                              std::size_t payload) {
+  const auto put16 = [out](std::size_t at, std::uint32_t v) {
+    out[at] = static_cast<std::uint8_t>(v >> 8);  // at < 53: in the header
+    out[at + 1] = static_cast<std::uint8_t>(v);
+  };
+  const std::size_t header = head.length;
+  const auto ip_length = static_cast<std::uint16_t>(header - kL3 + payload);
+  const auto l4_length = static_cast<std::uint16_t>(header - kL4 + payload);
+  put16(kL3 + 2, ip_length);
+  put16(kL3 + 10, net::checksum_finish(head.ip_sum + ip_length));
+  // `tcp` is 0 or 1 (no branch: it would miss on half the flows). UDP sums
+  // its length twice; TCP has no length field, so that write hits the checksum.
+  const std::size_t tcp = (header - kUdpHeaderBytes) / 12;
+  put16(kL4 + 4 + 12 * tcp, l4_length);
+  std::uint16_t checksum = net::checksum_finish(
+      head.l4_sum + std::uint32_t(2 - tcp) * l4_length +
+      std::uint32_t(payload >> 8) * kPatternSum[256] +
+      kPatternSum[payload & 0xff]);
+  if (checksum == 0 && tcp == 0) checksum = 0xffff;  // RFC 768: 0 is "none"
+  put16(kL4 + 6 + 10 * tcp, checksum);
 }
 
 std::size_t TrafficGen::next_size() {
@@ -131,7 +163,7 @@ void TrafficGen::emit() {
   FlowHeader& head = rank <= headers_.size() ? headers_[rank - 1] : spare;
   if (head.length == 0) head = make_header(rank);
   const std::size_t header = head.length;
-  const std::size_t payload = frame_size > header ? frame_size - header : 0;
+  const std::size_t payload = payload_after(head, frame_size);
   // The pattern into the pooled capacity, then the flow's 54 bytes.
   net::PacketPtr packet = sim_.packet_pool().make();
   net::Bytes& frame = packet->data();
@@ -140,24 +172,9 @@ void TrafficGen::emit() {
   std::memcpy(frame.data(), head.bytes.data(), head.bytes.size());
   frame.resize(header + payload);  // and back, zero-padded
   frame.resize(std::max<std::size_t>(header + payload, 60));
-  const auto put16 = [out = frame.data()](std::size_t at, std::uint32_t v) {
-    out[at] = static_cast<std::uint8_t>(v >> 8);  // at < 53 < frame size
-    out[at + 1] = static_cast<std::uint8_t>(v);
-  };
-  const auto ip_length = static_cast<std::uint16_t>(header - kL3 + payload);
-  const auto l4_length = static_cast<std::uint16_t>(header - kL4 + payload);
-  put16(kL3 + 2, ip_length);
-  put16(kL3 + 10, net::checksum_finish(head.ip_sum + ip_length));
-  // `tcp` is 0 or 1 (no branch: it would miss on half the flows). UDP sums
-  // its length twice; TCP has no length field, so that write hits the checksum.
-  const std::size_t tcp = (header - kUdpHeaderBytes) / 12;
-  put16(kL4 + 4 + 12 * tcp, l4_length);
-  std::uint16_t checksum = net::checksum_finish(
-      head.l4_sum + std::uint32_t(2 - tcp) * l4_length +
-      std::uint32_t(payload >> 8) * kPatternSum[256] +
-      kPatternSum[payload & 0xff]);
-  if (checksum == 0 && tcp == 0) checksum = 0xffff;  // RFC 768: 0 is "none"
-  put16(kL4 + 6 + 10 * tcp, checksum);
+  if (spec_.sizes != SizeDistribution::fixed) {
+    write_fields(frame.data(), head, payload);
+  }
   packet->set_id(sim_.next_packet_id());
   packet->set_created_time_ps(sim_.now());
   meter_.record(packet->size());

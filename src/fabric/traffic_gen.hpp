@@ -54,7 +54,8 @@ struct TrafficSpec {
 /// Emits frames into `output` per the spec. Deterministic for a fixed seed.
 /// A frame is the one net::PacketBuilder builds for its flow and size: an
 /// emit copies a shared payload pattern and the flow's cached header, writes
-/// the lengths and finishes both checksums in O(1) from cached sums.
+/// the lengths and finishes both checksums in O(1) from cached sums. With
+/// one fixed size the cached header already holds those fields final.
 class TrafficGen {
  public:
   static constexpr std::size_t kMaxFrameBytes = 14 + 65535;  // IPv4's limit
@@ -73,7 +74,8 @@ class TrafficGen {
   [[nodiscard]] net::FiveTuple flow_tuple(std::size_t rank) const;
 
  private:
-  /// A flow's first 54 frame bytes, length and checksum fields zero.
+  /// A flow's first 54 frame bytes, length and checksum fields zero (final
+  /// for a fixed size).
   struct FlowHeader {
     std::array<std::uint8_t, 54> bytes;
     std::uint8_t length;   // header bytes: 54 (TCP) or 42 (UDP, + payload)
@@ -85,6 +87,12 @@ class TrafficGen {
   [[nodiscard]] std::size_t next_size();
   [[nodiscard]] sim::TimePs gap_after(std::size_t frame_bytes);
   [[nodiscard]] FlowHeader make_header(std::size_t rank) const;
+  [[nodiscard]] static std::size_t payload_after(const FlowHeader& head,
+                                                 std::size_t frame_size);
+  /// The IPv4 and L4 lengths and checksums of a frame with `payload` bytes
+  /// after `head`, into the first 54 bytes at `out`.
+  static void write_fields(std::uint8_t* out, const FlowHeader& head,
+                           std::size_t payload);
 
   sim::Simulation& sim_;
   TrafficSpec spec_;

@@ -157,6 +157,11 @@ class MetricRegistry {
   void add(MetricId id, std::uint64_t delta = 1) {
     if (id.valid()) values_[id.index] += delta;
   }
+  /// Take back an earlier add(), for a component that counted ahead of the
+  /// clock and has to retract (EgressArbiter's pull-back).
+  void sub(MetricId id, std::uint64_t delta = 1) {
+    if (id.valid()) values_[id.index] -= delta;
+  }
   void set(MetricId id, std::uint64_t value) {
     if (id.valid()) values_[id.index] = value;
   }

@@ -97,13 +97,7 @@ void Engine::finish(net::PacketPtr packet) {
     case Verdict::forward:
       sim().metrics().add(forwarded_id_);
       record_verdict(obs::HopKind::forward);
-      if (forward_) {
-        sim().schedule_in(drain, [this, token = lifetime_token(),
-                                  packet = std::move(packet)]() mutable {
-          if (!token.alive()) return;  // engine torn down during drain
-          forward_(std::move(packet));
-        });
-      }
+      if (forward_) forward_(std::move(packet), sim().reserve_slot(drain));
       break;
     case Verdict::drop:
       sim().metrics().add(dropped_id_);

@@ -6,6 +6,11 @@
 // pipeline depth — bounds throughput), and leaves the engine
 // pipeline_latency_cycles() later. This reproduces the paper's line-rate
 // arithmetic: 64 bit x 156.25 MHz = 10 Gb/s of bus bandwidth.
+//
+// A forwarded packet's drain is not an event of its own. At the verdict the
+// engine reserves the slot a drain event would have had, (verdict time +
+// drain, seq), and hands the packet and that slot to the forward handler
+// at once; the egress arbiter admits it as of the slot (DESIGN.md §9).
 #pragma once
 
 #include <functional>
@@ -23,9 +28,14 @@ class Engine final : public sim::QueuedServer {
          std::size_t queue_capacity = 64);
   ~Engine() override;
 
-  /// Where forwarded packets go (set by the architecture shell).
-  void set_forward_handler(std::function<void(net::PacketPtr)> handler) {
+  /// Where forwarded packets go (set by the architecture shell), called at
+  /// the verdict with the slot at which the packet leaves the pipeline.
+  using ForwardHandler = std::function<void(net::PacketPtr, sim::Slot)>;
+  void set_forward_handler(ForwardHandler handler) {
     forward_ = std::move(handler);
+  }
+  [[nodiscard]] const ForwardHandler& forward_handler() const {
+    return forward_;
   }
   /// Where control-plane punts go.
   void set_control_handler(std::function<void(net::PacketPtr)> handler) {
@@ -72,7 +82,7 @@ class Engine final : public sim::QueuedServer {
   // at bind time so finish() doesn't redo the cycles_to_time division per
   // packet.
   sim::TimePs drain_ = 0;
-  std::function<void(net::PacketPtr)> forward_;
+  ForwardHandler forward_;
   std::function<void(net::PacketPtr)> control_;
   obs::MetricId forwarded_id_;
   obs::MetricId dropped_id_;

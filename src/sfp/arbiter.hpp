@@ -6,9 +6,21 @@
 // A FIFO line-rate transmitter plus the egress MAC/PCS delay, clocked by
 // one pending event per non-empty arbiter (DESIGN.md §9, "One event per
 // hop"). Admission is the only decision; start, finish and departure are
-// computed at admission the way sim::Link computes them. The drop test
-// counts admitted packets whose service starts after now, so at one
-// picosecond a departure frees its slot before an arrival takes it.
+// computed at admission the way sim::Link computes them.
+//
+// Every admission carries the event slot (time, seq) at which the packet
+// reaches the arbiter, and the arbiter admits in slot order as of the
+// slot's time. A direct call arrives at the running event's slot; the PPE
+// hands a forwarded packet over at its verdict with the later slot its
+// pipeline drain ends at, so the drain needs no event. An admission whose
+// slot is earlier than entries already admitted ahead of it pulls those
+// back: their counts are undone and each is rescheduled as an event at its
+// own slot. An ahead admission that would drop is deferred the same way,
+// so the outcome is always that of one event per arrival.
+//
+// The drop test counts admitted packets whose service starts after the
+// slot's time, so at one picosecond a departure frees its place before an
+// arrival takes it.
 #pragma once
 
 #include <functional>
@@ -29,7 +41,13 @@ class EgressArbiter {
   EgressArbiter(const EgressArbiter&) = delete;
   EgressArbiter& operator=(const EgressArbiter&) = delete;
 
-  void handle_packet(net::PacketPtr packet);
+  /// Admit at the running event's slot.
+  void handle_packet(net::PacketPtr packet) {
+    admit(std::move(packet), sim_.current_slot());
+  }
+  /// Admit as the packet arriving at `slot`, a slot at or after the running
+  /// event's (sim::Simulation::reserve_slot).
+  void admit(net::PacketPtr packet, sim::Slot slot);
 
   void set_output(std::function<void(net::PacketPtr)> output) {
     output_ = std::move(output);
@@ -38,13 +56,17 @@ class EgressArbiter {
  private:
   struct InFlight {
     net::PacketPtr packet;
-    sim::TimePs arrival = 0;
+    sim::Slot arrival;
     sim::TimePs start = 0;
     sim::TimePs finish = 0;
   };
 
-  /// Admitted packets whose service starts after now.
-  [[nodiscard]] std::size_t waiting();
+  /// Admitted packets whose service starts after `at`.
+  [[nodiscard]] std::size_t waiting(sim::TimePs at);
+  /// Take back every entry admitted at a slot after `slot`, undo its counts
+  /// and reschedule its admission as an event at that slot.
+  void pull_back(sim::Slot slot);
+  void admit_later(net::PacketPtr packet, sim::Slot slot);
   /// Schedule the head's departure. Precondition: !ring_.empty().
   void arm();
   void depart();
@@ -60,11 +82,13 @@ class EgressArbiter {
   obs::MetricId busy_id_;
   obs::MetricId watermark_id_;
   std::uint16_t flight_stage_ = 0;
-  sim::Ring<InFlight> ring_;  // admitted packets, oldest first
-  // How many leading ring entries are known to have started (start <= now);
-  // advanced lazily, since start times rise along the ring.
+  sim::Ring<InFlight> ring_;  // admitted packets in slot order
+  // How many leading ring entries had started as of the last admission's
+  // time; moved lazily, since start times rise along the ring.
   std::size_t started_ = 0;
-  sim::TimePs next_free_ = 0;
+  // Bumped when a pull-back takes the head, whose departure is armed: that
+  // event then finds a stale generation and does nothing.
+  std::uint64_t generation_ = 0;
   std::function<void(net::PacketPtr)> output_;
   sim::Lifetime lifetime_;  // guards the pending departure event
 };

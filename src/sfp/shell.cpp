@@ -67,13 +67,14 @@ ArchitectureShell::ArchitectureShell(sim::Simulation& sim, ppe::PpeAppPtr app,
   // Forwarded packets leave on the opposite interface from where they
   // entered — unless an egress hint pins the interface (multi-port fabric
   // glue, hairpin forwarding); for the one-way shell the fallback is always
-  // the configured egress.
-  engine_->set_forward_handler([this](net::PacketPtr packet) {
+  // the configured egress. The engine calls this at the verdict; the
+  // arbiter admits the packet as of the slot its pipeline drain ends at.
+  engine_->set_forward_handler([this](net::PacketPtr packet, sim::Slot slot) {
     const int fallback =
         packet->ingress_port() == edge_port ? optical_port : edge_port;
     const int egress = resolve_egress(*packet, fallback);
-    arbiters_[static_cast<std::size_t>(egress)]->handle_packet(
-        std::move(packet));
+    arbiters_[static_cast<std::size_t>(egress)]->admit(std::move(packet),
+                                                       slot);
   });
   engine_->set_control_handler(
       [this](net::PacketPtr packet) { punt_to_control(std::move(packet)); });

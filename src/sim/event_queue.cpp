@@ -72,7 +72,7 @@ EventQueue::Popped EventQueue::pop() {
     }
     sift_up(hole, last);
   }
-  return Popped{this, top.node, top.at};
+  return Popped{this, top.node, Slot{top.at, top.seq}};
 }
 
 void EventQueue::Popped::invoke() {

@@ -19,6 +19,13 @@
 // (time, insertion-order) sequence. (at, seq) is a total order — seq is
 // unique — so heap pops are deterministic regardless of heap layout, and
 // sequential/sharded runs stay bit-identical.
+//
+// That (at, seq) pair is a Slot. A component may reserve a seq without
+// pushing an event (reserve_seq) and act on the slot it names right away,
+// instead of scheduling an event there: the egress arbiter admits a
+// drained frame this way (DESIGN.md §9, "One event per hop"). Should it
+// have to fall back, push_at schedules an ordinary event at the reserved
+// slot, which then runs exactly where the skipped event would have.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +39,14 @@
 #include "sim/time.hpp"
 
 namespace flexsfp::sim {
+
+/// An event's place in the execution order: its time, then its insertion
+/// sequence number.
+struct Slot {
+  TimePs at = 0;
+  std::uint64_t seq = 0;
+  friend auto operator<=>(const Slot&, const Slot&) = default;
+};
 
 class EventQueue {
   struct Node;  // slab-allocated event node, defined below
@@ -60,6 +75,17 @@ class EventQueue {
   /// clamps to now() first). Insertion order is remembered for tie-breaks.
   template <class F>
   void push(TimePs at, F&& fn) {
+    push_at(Slot{at, next_seq_++}, std::forward<F>(fn));
+  }
+
+  /// Take the next insertion sequence number without pushing an event: the
+  /// slot (at, seq) then sorts exactly where push(at, ...) would have put
+  /// an event now.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule `fn` at a slot whose seq came from reserve_seq().
+  template <class F>
+  void push_at(Slot slot, F&& fn) {
     Node* node = acquire_node();
     using D = std::decay_t<F>;
     if constexpr (sizeof(D) <= kInlineClosure &&
@@ -79,7 +105,7 @@ class EventQueue {
       };
       ++stats_.boxed_closures;
     }
-    insert(Ref{at, next_seq_++, node});
+    insert(Ref{slot.at, slot.seq, node});
   }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
@@ -94,7 +120,7 @@ class EventQueue {
   class Popped {
    public:
     Popped(Popped&& other) noexcept
-        : queue_(other.queue_), node_(other.node_), at_(other.at_) {
+        : queue_(other.queue_), node_(other.node_), slot_(other.slot_) {
       other.node_ = nullptr;
     }
     Popped(const Popped&) = delete;
@@ -102,17 +128,18 @@ class EventQueue {
     Popped& operator=(Popped&&) = delete;
     ~Popped();
 
-    [[nodiscard]] TimePs at() const { return at_; }
+    [[nodiscard]] TimePs at() const { return slot_.at; }
+    [[nodiscard]] Slot slot() const { return slot_; }
     void invoke();
 
    private:
     friend class EventQueue;
-    Popped(EventQueue* queue, Node* node, TimePs at)
-        : queue_(queue), node_(node), at_(at) {}
+    Popped(EventQueue* queue, Node* node, Slot slot)
+        : queue_(queue), node_(node), slot_(slot) {}
 
     EventQueue* queue_;
     Node* node_;
-    TimePs at_;
+    Slot slot_;
   };
 
   /// Remove and return the earliest event. Precondition: !empty().

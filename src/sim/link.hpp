@@ -83,6 +83,13 @@ class Ring {
     --count_;
     return value;
   }
+  /// The newest element. Precondition: !empty().
+  [[nodiscard]] T& back() { return (*this)[count_ - 1]; }
+  /// Remove and return the newest element. Precondition: !empty().
+  T pop_back() {
+    --count_;
+    return std::move((*this)[count_]);
+  }
 
  private:
   void grow() {

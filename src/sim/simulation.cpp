@@ -43,8 +43,10 @@ Simulation::Simulation() {
 void Simulation::execute_next() {
   EventQueue::Popped event = queue_.pop();
   now_ = event.at();
+  running_seq_ = event.slot().seq;
   ++executed_;
   event.invoke();
+  running_seq_ = ~std::uint64_t{0};
 }
 
 std::size_t Simulation::execute_through(TimePs last) {

@@ -50,6 +50,22 @@ class Simulation {
     schedule_at(saturating_add(now_, delay), std::forward<F>(fn));
   }
 
+  /// The slot schedule_in(delay, ...) would give an event now, reserved
+  /// without scheduling one: a component can act on it at once and fall
+  /// back to an event there with schedule_at(slot, ...).
+  [[nodiscard]] Slot reserve_slot(TimePs delay) {
+    return {saturating_add(now_, delay), queue_.reserve_seq()};
+  }
+  /// Schedule `fn` at a slot from reserve_slot(); it runs exactly where the
+  /// reserved event would have. Precondition: slot > current_slot().
+  template <class F>
+  void schedule_at(Slot slot, F&& fn) {
+    queue_.push_at(slot, std::forward<F>(fn));
+  }
+  /// The running event's slot. Between events it is {now(), max}, after
+  /// every event at now(): code outside the run loop acts last.
+  [[nodiscard]] Slot current_slot() const { return {now_, running_seq_}; }
+
   /// Run everything; returns the number of events executed.
   std::size_t run();
   /// Run until simulated time exceeds `deadline` (events at exactly
@@ -104,6 +120,7 @@ class Simulation {
 
   EventQueue queue_;
   TimePs now_ = 0;
+  std::uint64_t running_seq_ = ~std::uint64_t{0};
   std::uint64_t executed_ = 0;
   net::PacketId last_packet_id_ = 0;
   net::PacketPool pool_;

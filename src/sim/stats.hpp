@@ -29,6 +29,11 @@ class TrafficMeter {
     registry_.add(packets_id_);
     registry_.add(bytes_id_, bytes);
   }
+  /// Take back one record(bytes).
+  void unrecord(std::size_t bytes) {
+    registry_.sub(packets_id_);
+    registry_.sub(bytes_id_, bytes);
+  }
 
   [[nodiscard]] std::uint64_t packets() const {
     return registry_.value(packets_id_);

@@ -49,8 +49,8 @@ TEST(Engine, ServiceTimeIsBusBeats) {
   Engine engine(sim, std::make_unique<StubApp>(Verdict::forward),
                 hw::DatapathConfig{});
   std::vector<TimePs> arrivals;
-  engine.set_forward_handler([&](net::PacketPtr) {
-    arrivals.push_back(sim.now());
+  engine.set_forward_handler([&](net::PacketPtr, Slot slot) {
+    arrivals.push_back(slot.at);
   });
   engine.handle_packet(packet_of(64, sim));
   sim.run();
@@ -64,8 +64,8 @@ TEST(Engine, ThroughputBoundedByBusNotPipelineDepth) {
   Engine engine(sim, std::make_unique<StubApp>(Verdict::forward),
                 hw::DatapathConfig{});
   std::vector<TimePs> arrivals;
-  engine.set_forward_handler([&](net::PacketPtr) {
-    arrivals.push_back(sim.now());
+  engine.set_forward_handler([&](net::PacketPtr, Slot slot) {
+    arrivals.push_back(slot.at);
   });
   engine.handle_packet(packet_of(64, sim));
   engine.handle_packet(packet_of(64, sim));
@@ -80,7 +80,7 @@ TEST(Engine, DropVerdictCountsAndSwallows) {
   Engine engine(sim, std::make_unique<StubApp>(Verdict::drop),
                 hw::DatapathConfig{});
   int forwarded = 0;
-  engine.set_forward_handler([&](net::PacketPtr) { ++forwarded; });
+  engine.set_forward_handler([&](net::PacketPtr, Slot) { ++forwarded; });
   engine.handle_packet(packet_of(64, sim));
   sim.run();
   EXPECT_EQ(forwarded, 0);
@@ -109,7 +109,7 @@ TEST(Engine, MirrorSendsCopyToControlAndForwards) {
   int mirrored = 0;
   net::PacketPtr forwarded_pkt;
   net::PacketPtr mirrored_pkt;
-  engine.set_forward_handler([&](net::PacketPtr p) {
+  engine.set_forward_handler([&](net::PacketPtr p, Slot) {
     ++forwarded;
     forwarded_pkt = std::move(p);
   });
@@ -129,7 +129,7 @@ TEST(Engine, QueueOverflowDropsAtIngress) {
   Engine engine(sim, std::make_unique<StubApp>(Verdict::forward),
                 hw::DatapathConfig{}, /*queue_capacity=*/2);
   int forwarded = 0;
-  engine.set_forward_handler([&](net::PacketPtr) { ++forwarded; });
+  engine.set_forward_handler([&](net::PacketPtr, Slot) { ++forwarded; });
   for (int i = 0; i < 10; ++i) engine.handle_packet(packet_of(1518, sim));
   sim.run();
   EXPECT_GT(engine.drops(), 0u);
@@ -141,7 +141,7 @@ TEST(Engine, ReplaceAppSwapsProcessing) {
   auto first = std::make_unique<StubApp>(Verdict::drop);
   Engine engine(sim, std::move(first), hw::DatapathConfig{});
   int forwarded = 0;
-  engine.set_forward_handler([&](net::PacketPtr) { ++forwarded; });
+  engine.set_forward_handler([&](net::PacketPtr, Slot) { ++forwarded; });
   engine.handle_packet(packet_of(64, sim));
   sim.run();
   EXPECT_EQ(forwarded, 0);
@@ -155,7 +155,7 @@ TEST(Engine, RegistryAttributesVerdictsAndAppCounters) {
   Simulation sim;
   Engine engine(sim, std::make_unique<StubApp>(Verdict::forward),
                 hw::DatapathConfig{});
-  engine.set_forward_handler([](net::PacketPtr) {});
+  engine.set_forward_handler([](net::PacketPtr, Slot) {});
   engine.handle_packet(packet_of(64, sim));
   sim.run();
   const auto snap = sim.metrics().snapshot();
@@ -174,7 +174,7 @@ TEST(Engine, ReplaceAppMidStreamProcessesQueuedWithNewApp) {
   Engine engine(sim, std::make_unique<StubApp>(Verdict::drop, false, "first"),
                 hw::DatapathConfig{});
   int forwarded = 0;
-  engine.set_forward_handler([&](net::PacketPtr) { ++forwarded; });
+  engine.set_forward_handler([&](net::PacketPtr, Slot) { ++forwarded; });
   engine.handle_packet(packet_of(64, sim));
   sim.run();
   EXPECT_EQ(engine.dropped_by_app(), 1u);
@@ -198,14 +198,42 @@ TEST(Engine, ForwardLeavesAfterPipelineDrain) {
   Simulation sim;
   Engine engine(sim, std::make_unique<StubApp>(Verdict::forward),
                 hw::DatapathConfig{});
-  std::vector<TimePs> forwarded_at;
-  engine.set_forward_handler(
-      [&](net::PacketPtr) { forwarded_at.push_back(sim.now()); });
+  std::vector<Slot> forwarded_at;
+  std::vector<TimePs> handed_at;
+  engine.set_forward_handler([&](net::PacketPtr, Slot slot) {
+    forwarded_at.push_back(slot);
+    handed_at.push_back(sim.now());
+  });
   engine.handle_packet(packet_of(64, sim));
-  sim.run();
+  // The drain is a slot, not an event: only the service completion runs.
+  EXPECT_EQ(sim.run(), 1u);
   // 8 bus beats of service plus the 4-cycle pipeline drain, 6.4 ns cycles.
   ASSERT_EQ(forwarded_at.size(), 1u);
-  EXPECT_EQ(forwarded_at[0], 12 * 6400);
+  EXPECT_EQ(forwarded_at[0].at, 12 * 6400);
+  // The handler runs at the verdict, one drain before the slot.
+  EXPECT_EQ(handed_at[0], 8 * 6400);
+}
+
+TEST(Engine, ForwardSlotSortsWhereTheDrainEventWould) {
+  Simulation sim;
+  Engine engine(sim, std::make_unique<StubApp>(Verdict::forward),
+                hw::DatapathConfig{});
+  Slot forwarded{};
+  engine.set_forward_handler(
+      [&](net::PacketPtr, Slot slot) { forwarded = slot; });
+  // Scheduled before the verdict, at the drain's picosecond: it runs first.
+  Slot before{};
+  sim.schedule_at(12 * 6400, [&] { before = sim.current_slot(); });
+  engine.handle_packet(packet_of(64, sim));
+  // Scheduled by the verdict's own successor at the same picosecond: after.
+  Slot after{};
+  sim.schedule_at(8 * 6400 + 1, [&] {
+    sim.schedule_at(12 * 6400, [&] { after = sim.current_slot(); });
+  });
+  sim.run();
+  EXPECT_EQ(forwarded.at, 12 * 6400);
+  EXPECT_LT(before, forwarded);
+  EXPECT_LT(forwarded, after);
 }
 
 TEST(PacketContext, ParseIsLazyAndInvalidatable) {
